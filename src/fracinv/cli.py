@@ -74,7 +74,6 @@ SCHEMA = {
         "noise_levels": (_FLOAT_LIST, (1e-2, 5e-3, 2.5e-3, 1e-3)),
         "gammas": (_FLOAT_LIST, ()),    # empty -> c_gamma rule
         "c_gamma": (float, 4e-4),
-        "jobs": (int, 1),
     },
     "verify": {
         "checks": (str, "decay positivity stability"),
@@ -172,14 +171,14 @@ def _validate_physics(cfg):
     if not (0.0 < alpha <= 1.0):
         raise ConfigError(f"problem.alpha must lie in (0, 1], got {alpha}")
     T = _require(cfg, "problem", "T")
-    if T <= 0:
-        raise ConfigError(f"problem.T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ConfigError(f"problem.T must be positive and finite, got {T}")
     if cfg["time"]["n_steps"] < 1:
         raise ConfigError("time.n_steps must be >= 1")
     if cfg["mesh"]["h"] <= 0:
         raise ConfigError("mesh.h must be positive")
-    if cfg["inversion"]["gamma"] < 0:
-        raise ConfigError("inversion.gamma must be nonnegative")
+    if not 0 <= cfg["inversion"]["gamma"] < math.inf:
+        raise ConfigError("inversion.gamma must be nonnegative and finite")
     if not (0 < cfg["inversion"]["c0"] < cfg["inversion"]["c1"]):
         raise ConfigError("inversion bounds must satisfy 0 < c0 < c1")
     if cfg["data"]["epsilon"] < 0:
@@ -362,7 +361,7 @@ def cmd_bench(cfg) -> int:
         seed=cfg["data"]["seed"], bounds=(cfg["inversion"]["c0"], cfg["inversion"]["c1"]),
         max_iters=cfg["inversion"]["max_iters"],
         discrepancy_factor=cfg["inversion"]["discrepancy_factor"],
-        jobs=sweep["jobs"], output_dir=str(out))
+        output_dir=str(out))
     report = experiments.run_sweep(config)
     n_fail = sum(1 for r in report.records if r.error is not None)
     print(f"bench: {len(report.records)} runs, {n_fail} failed -> {out / 'report.csv'}")

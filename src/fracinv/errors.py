@@ -21,13 +21,5 @@ class NotSpdError(FracinvError):
     """Raised when a matrix handed to the SPD solver is not symmetric positive definite."""
 
 
-class SolveConvergenceError(FracinvError):
-    """Raised when an iterative solve exceeds its iteration budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DegenerateDirectionError(FracinvError):
     """Raised when a search direction lies in the null space of the step-size model."""

@@ -17,13 +17,13 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
 from . import fem, timestep
+from .errors import FracinvError
 from .fem import VH, XH, Field
 from .inverse import InverseSpec, StoppingRule, run_inversion
 from .mesh import Mesh, save_mesh
@@ -31,7 +31,7 @@ from .problems import Problem, get_problem, problem_mesh
 from .timestep import TimeGrid
 
 CSV_COLUMNS = ("alpha", "T", "eps", "gamma", "delta", "e_q", "e_u",
-               "iters", "converged", "seconds")
+               "iters", "converged", "reason", "seconds")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class ExperimentConfig:
     bounds: tuple = (0.5, 5.0)
     max_iters: int = 200
     discrepancy_factor: float = 1.1
-    jobs: int = 1
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -83,6 +82,7 @@ class RunRecord:
     iters: int
     converged: bool
     seconds: float
+    reason: str = ""  # run_inversion's stop reason; empty for a failed run
     error: str | None = None
 
 
@@ -102,7 +102,8 @@ class RunReport:
             writer.writerow([
                 f"{r.alpha:.17g}", f"{r.T:.17g}", f"{r.eps:.17g}",
                 f"{r.gamma:.17g}", f"{r.delta:.17g}", f"{r.e_q:.17g}",
-                f"{r.e_u:.17g}", r.iters, int(r.converged), f"{r.seconds:.3f}"])
+                f"{r.e_u:.17g}", r.iters, int(r.converged), r.reason,
+                f"{r.seconds:.3f}"])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -134,7 +135,7 @@ def solve_truth(problem: Problem, mesh_fine: Mesh, alpha: float, T: float,
 
 def transfer_terminal(u_fine: Field, coarse: Mesh) -> Field:
     """Evaluate the fine P1 terminal state at the coarse interior vertices."""
-    vals = fem.evaluate_at_points(u_fine, coarse.vertices[coarse.interior])
+    vals = fem.evaluate_at_points(u_fine, coarse.vertices[fem.geometry(coarse).interior])
     return Field(coarse, XH, vals)
 
 
@@ -147,7 +148,7 @@ def add_noise(u_coarse: Field, linf_ref: float, eps: float, seed: int):
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(u_coarse.values.shape)
     noise = eps * linf_ref * xi
-    mass = fem.assemble_mass(u_coarse.mesh, XH)
+    mass = fem.geometry(u_coarse.mesh).mass[XH]
     delta = math.sqrt(max(float(noise @ (mass @ noise)), 0.0))
     return Field(u_coarse.mesh, XH, u_coarse.values + noise), delta
 
@@ -206,18 +207,21 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
         save_mesh(coarse, out_dir / "coarse.mesh")
 
     rows = [(alpha, T) for alpha in config.alphas for T in config.T_values]
-    for row_idx, (alpha, T) in enumerate(rows):
+    # every truth solve first, so that the fine mesh, and the factorization
+    # it caches, are freed before the inversions
+    truths = []
+    for alpha, T in rows:
         u_fine = solve_truth(problem, fine, alpha, T, config.n_steps_ref)
-        u_ref = transfer_terminal(u_fine, coarse)
-        linf_ref = fem.norm_linf(u_fine)
-
-        def one_run(col):
-            eps = config.noise_levels[col]
+        truths.append((transfer_terminal(u_fine, coarse), fem.norm_linf(u_fine)))
+        del u_fine
+    del fine
+    for row_idx, ((alpha, T), (u_ref, linf_ref)) in enumerate(zip(rows, truths)):
+        pairs_q, pairs_u = [], []
+        for col, eps in enumerate(config.noise_levels):
             gamma = config.gamma_for(col)
             start = time.perf_counter()
             try:
-                z, delta = add_noise(u_ref, linf_ref, eps,
-                                     _run_seed(config, row_idx))
+                z, delta = add_noise(u_ref, linf_ref, eps, _run_seed(config, row_idx))
                 spec = InverseSpec(
                     mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),
                     u0=problem.u0, f=problem.f, z_delta=z, gamma=gamma,
@@ -227,37 +231,24 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                       discrepancy_factor=config.discrepancy_factor))
                 result = run_inversion(spec)
                 u_term = timestep.solve_forward(
-                    coarse, result.q, problem.u0, problem.f, alpha,
-                    spec.grid).terminal
+                    coarse, result.q, problem.u0, problem.f, alpha, spec.grid).terminal
                 e_q, e_u = compute_errors(result.q, q_dag_coarse, u_term, u_ref)
                 rec = RunRecord(alpha, T, eps, gamma, delta, e_q, e_u,
                                 result.iterations, result.converged,
-                                time.perf_counter() - start)
-                return rec, result.q
-            except Exception as exc:  # record the failure, keep sweeping
+                                time.perf_counter() - start, result.reason)
+            except FracinvError as exc:  # a solver failure: record it, keep sweeping
                 rec = RunRecord(alpha, T, eps, gamma, math.nan, math.nan,
                                 math.nan, 0, False,
                                 time.perf_counter() - start, error=str(exc))
-                return rec, None
-
-        cols = range(len(config.noise_levels))
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                outcomes = list(pool.map(one_run, cols))
-        else:
-            outcomes = [one_run(c) for c in cols]
-
-        pairs_q, pairs_u = [], []
-        for col, (rec, q_star) in enumerate(outcomes):
             report.records.append(rec)
             if rec.error is None and rec.e_q > 0 and rec.e_u > 0:
                 pairs_q.append((rec.eps, rec.e_q))
                 pairs_u.append((rec.eps, rec.e_u))
-            if out_dir is not None and q_star is not None:
+            if out_dir is not None and rec.error is None:
                 run_id = f"alpha{alpha:g}_T{T:g}_eps{rec.eps:g}"
-                fem.save_field(q_star, out_dir / f"{run_id}_q.field",
+                fem.save_field(result.q, out_dir / f"{run_id}_q.field",
                                name="q_reconstructed", mesh_file="coarse.mesh")
-                err = Field(coarse, VH, q_dag_coarse.values - q_star.values)
+                err = Field(coarse, VH, q_dag_coarse.values - result.q.values)
                 fem.save_field(err, out_dir / f"{run_id}_qerr.field",
                                name="q_error", mesh_file="coarse.mesh")
         rate_q = compute_rate(pairs_q) if len(pairs_q) >= 2 else None

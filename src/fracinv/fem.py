@@ -7,11 +7,16 @@ the coefficient enters the stiffness through its vertex average per cell,
 which is exact for a piecewise-linear coefficient against the cellwise
 constant gradients of P1 basis functions.  Data integrals use 2-point
 Gauss (1D) / 3-point edge-midpoint (2D) quadrature.
+
+What no coefficient changes (interior dofs, cell measures, basis
+gradients, sparsity patterns, mass matrices and their factorizations) is
+built once per mesh, by :func:`geometry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,30 +60,107 @@ class Field:
         if self.space == VH:
             return self.values
         full = np.zeros(self.mesh.n_vertices)
-        full[self.mesh.interior] = self.values
+        full[geometry(self.mesh).interior] = self.values
         return full
 
 
 def n_dofs(mesh: Mesh, space: str) -> int:
-    return mesh.n_vertices if space == VH else len(mesh.interior)
+    return mesh.n_vertices if space == VH else len(geometry(mesh).interior)
 
 
 def zero_field(mesh: Mesh, space: str) -> Field:
     return Field(mesh, space, np.zeros(n_dofs(mesh, space)))
 
 
-def _dof_map(mesh, space):
-    """Vertex index -> dof index, -1 for vertices outside the space."""
-    if space == VH:
-        return np.arange(mesh.n_vertices)
-    idx = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    idx[mesh.interior] = np.arange(len(mesh.interior))
-    return idx
+class Geometry:
+    """The P1 data of one mesh that no coefficient changes.
+
+    Built on first use by :func:`geometry` and stored on the mesh, so it
+    lives exactly as long as the mesh.  Each space's matrices share one
+    CSR pattern, and ``scatter`` sums per-cell local matrices into it with
+    a single ``bincount``.  The factorizations are built on first use.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.dim = mesh.dim
+        self.cells = mesh.cells
+        self.interior = mesh.interior
+        xh = np.full(mesh.n_vertices, -1, dtype=np.int64)
+        xh[self.interior] = np.arange(len(self.interior))
+        # vertex index -> dof index, -1 for vertices outside the space
+        self.dofs = {VH: np.arange(mesh.n_vertices), XH: xh}
+        self.measures = cell_measures(mesh)
+        self.gradients = _cell_basis_gradients(mesh, self.measures)
+        self._patterns = {space: _pattern(self.cells, self.dofs[space])
+                          for space in (VH, XH)}
+        self.mass = {space: self.scatter(space, self.local_mass()) for space in (VH, XH)}
+        self.stiffness = self.scatter(VH, self.local_stiffness(np.ones(mesh.n_vertices)))
+
+    def local_mass(self) -> np.ndarray:
+        # exact P1 mass: |c| (1 + delta_ij) / ((dim + 1) (dim + 2))
+        ref = np.ones((self.dim + 1, self.dim + 1)) + np.eye(self.dim + 1)
+        return self.measures[:, None, None] * (ref / ((self.dim + 1) * (self.dim + 2)))
+
+    def local_stiffness(self, coeff_values) -> np.ndarray:
+        coeff = coeff_values[self.cells].mean(axis=1)
+        return np.einsum("c,c,cid,cjd->cij", coeff, self.measures,
+                         self.gradients, self.gradients)
+
+    def scatter(self, space, local) -> sp.csr_matrix:
+        entries, slots, indices, indptr = self._patterns[space]
+        data = np.bincount(slots, weights=local.ravel()[entries], minlength=len(indices))
+        n = len(indptr) - 1
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    @cached_property
+    def mass_solver(self) -> linalg.SpdSolver:
+        """Factorized X_h mass matrix (L2 projection)."""
+        return linalg.factorize(self.mass[XH])
+
+    @cached_property
+    def riesz_solver(self) -> linalg.SpdSolver:
+        """Factorized full-H1 Riesz matrix M_V + K_V(1)."""
+        return linalg.factorize(self.mass[VH] + self.stiffness)
 
 
-def _cell_basis_gradients(mesh):
+def _pattern(cells, dof):
+    """CSR pattern of one space's matrices: (entries, slots, indices, indptr).
+
+    ``entries`` lists the flat local entries (cell, i, j) whose row and
+    column dofs both lie in the space, and ``slots`` the CSR position each
+    one adds into.  They are ordered as scipy's COO-to-CSR conversion sums
+    duplicates (bucketed by row, then each row sorted by column), so a
+    scatter gives the same bits as that conversion.
+    """
+    n = np.count_nonzero(dof >= 0)
+    nloc = cells.shape[1]
+    rows = np.repeat(dof[cells], nloc, axis=1).ravel()
+    cols = np.tile(dof[cells], (1, nloc)).ravel()
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+    by_row = kept[np.argsort(rows[kept], kind="stable")]
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
+    order = sp.csr_matrix((np.arange(len(by_row), dtype=float), cols[by_row], row_ptr),
+                          shape=(n, n))
+    order.sort_indices()  # the same sort, so the same order among duplicates
+    entries = by_row[order.data.astype(np.int64)]
+    keys = rows[entries] * n + cols[entries]
+    first = np.diff(keys, prepend=-1) != 0  # first entry of each (row, column)
+    unique = keys[first]
+    slots = np.cumsum(first) - 1
+    indptr = np.searchsorted(unique // n, np.arange(n + 1))
+    return tuple(a.astype(np.int32) for a in (entries, slots, unique % n, indptr))
+
+
+def geometry(mesh: Mesh) -> Geometry:
+    """The mesh's P1 geometry, built on the first call."""
+    geo = mesh.derived.get("p1")
+    if geo is None:
+        geo = mesh.derived["p1"] = Geometry(mesh)
+    return geo
+
+
+def _cell_basis_gradients(mesh, meas):
     """Gradients of the nodal basis functions per cell, shape (n_cells, nloc, dim)."""
-    meas = cell_measures(mesh)
     if mesh.dim == 1:
         grads = np.empty((mesh.n_cells, 2, 1))
         grads[:, 0, 0] = -1.0 / meas
@@ -94,28 +176,10 @@ def _cell_basis_gradients(mesh):
     return grads
 
 
-def _assemble(mesh, space, local):
-    """Scatter per-cell local matrices (n_cells, nloc, nloc) into CSR."""
-    dof = _dof_map(mesh, space)
-    nloc = mesh.dim + 1
-    rows = np.repeat(dof[mesh.cells], nloc, axis=1).ravel()
-    cols = np.tile(dof[mesh.cells], (1, nloc)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    n = n_dofs(mesh, space)
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsr()
-
-
 def assemble_mass(mesh: Mesh, space: str) -> sp.csr_matrix:
     """Mass matrix M_ij = integral of phi_i phi_j over the mesh."""
-    meas = cell_measures(mesh)
-    if mesh.dim == 1:
-        ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    else:
-        ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = meas[:, None, None] * ref
-    return _assemble(mesh, space, local)
+    geo = geometry(mesh)
+    return geo.scatter(space, geo.local_mass())
 
 
 def assemble_stiffness(mesh: Mesh, space: str, q: Field) -> sp.csr_matrix:
@@ -134,18 +198,15 @@ def assemble_stiffness(mesh: Mesh, space: str, q: Field) -> sp.csr_matrix:
 
 def _stiffness_with_coeff(mesh, space, coeff_values):
     """Stiffness assembly without the positivity check (for search directions)."""
-    meas = cell_measures(mesh)
-    grads = _cell_basis_gradients(mesh)
-    coeff = coeff_values[mesh.cells].mean(axis=1)
-    local = np.einsum("c,c,cid,cjd->cij", coeff, meas, grads, grads)
-    return _assemble(mesh, space, local)
+    geo = geometry(mesh)
+    return geo.scatter(space, geo.local_stiffness(coeff_values))
 
 
 def interpolate(mesh: Mesh, space: str, f) -> Field:
     """Lagrange nodal interpolation: evaluate ``f`` at the space's vertices."""
     vals = _eval_at(f, mesh.vertices)
     if space == XH:
-        vals = vals[mesh.interior]
+        vals = vals[geometry(mesh).interior]
     return Field(mesh, space, vals)
 
 
@@ -176,26 +237,23 @@ def load_vector(mesh: Mesh, space: str, f) -> np.ndarray:
     else:
         flat = pts_phys.reshape(-1, mesh.dim)
         fvals = _eval_at(f, flat).reshape(pts_phys.shape[:2])
-    meas = cell_measures(mesh)
+    geo = geometry(mesh)
     # contribution of cell c to its local vertex l: |c| * sum_q w_q f(x_q) lam_l(x_q)
-    contrib = np.einsum("c,q,cq,ql->cl", meas, w, fvals, lam)
-    dof = _dof_map(mesh, space)
-    out = np.zeros(n_dofs(mesh, space) + 1)
-    np.add.at(out, dof[mesh.cells].ravel() + 1, contrib.ravel())
+    contrib = np.einsum("c,q,cq,ql->cl", geo.measures, w, fvals, lam)
+    out = np.bincount(geo.dofs[space][mesh.cells].ravel() + 1, weights=contrib.ravel(),
+                      minlength=n_dofs(mesh, space) + 1)
     return out[1:]  # slot 0 swallowed contributions of dropped boundary dofs
 
 
 def l2_project(mesh: Mesh, f) -> Field:
     """L2 projection onto X_h: solve M x = (f, phi_i)."""
-    m = assemble_mass(mesh, XH)
-    b = load_vector(mesh, XH, f)
-    x = linalg.factorize(m).solve(b)
+    x = geometry(mesh).mass_solver.solve(load_vector(mesh, XH, f))
     return Field(mesh, XH, x)
 
 
 def norm_l2(v: Field) -> float:
     """L2 norm via the mass matrix of the field's space."""
-    m = assemble_mass(v.mesh, v.space)
+    m = geometry(v.mesh).mass[v.space]
     return float(np.sqrt(max(v.values @ (m @ v.values), 0.0)))
 
 
@@ -220,30 +278,16 @@ def seminorm_w1inf(v: Field) -> float:
 
 def cell_gradient(v: Field) -> np.ndarray:
     """Cellwise constant gradient of a field, shape (n_cells, dim)."""
-    grads = _cell_basis_gradients(v.mesh)
+    grads = geometry(v.mesh).gradients
     nodal = v.extend()
     return np.einsum("cl,cld->cd", nodal[v.mesh.cells], grads)
 
 
 def cell_average_load(mesh: Mesh, cellwise: np.ndarray) -> np.ndarray:
     """V_h dual vector of a cellwise constant function: b_i = sum |c|/(dim+1) w_c."""
-    meas = cell_measures(mesh)
-    w = meas * cellwise / (mesh.dim + 1)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.cells.ravel(), np.repeat(w, mesh.dim + 1))
-    return out
-
-
-def grad_dot(a: Field, b: Field) -> Field:
-    """L2 projection onto V_h of the cellwise function grad(a) . grad(b)."""
-    if a.mesh is not b.mesh:
-        raise ValueError("fields live on different meshes")
-    mesh = a.mesh
-    c = np.einsum("cd,cd->c", cell_gradient(a), cell_gradient(b))
-    rhs = cell_average_load(mesh, c)
-    m = assemble_mass(mesh, VH)
-    x = linalg.factorize(m).solve(rhs)
-    return Field(mesh, VH, x)
+    w = geometry(mesh).measures * cellwise / (mesh.dim + 1)
+    return np.bincount(mesh.cells.ravel(), weights=np.repeat(w, mesh.dim + 1),
+                       minlength=mesh.n_vertices)
 
 
 def evaluate_at_points(v: Field, points: np.ndarray) -> np.ndarray:
@@ -280,7 +324,7 @@ def evaluate_at_points(v: Field, points: np.ndarray) -> np.ndarray:
 def save_field(field: Field, path, name="field", mesh_file="") -> None:
     """Write a field dump: header comments plus one 'vertex_index value' per line."""
     mesh = field.mesh
-    idx = np.arange(mesh.n_vertices) if field.space == VH else mesh.interior
+    idx = np.arange(mesh.n_vertices) if field.space == VH else geometry(mesh).interior
     with open(path, "w") as fh:
         fh.write(f"# field {name}\n# mesh {mesh_file}\n# space {field.space}\n")
         for i, val in zip(idx, field.values):
@@ -304,7 +348,7 @@ def load_field(path, mesh: Mesh) -> Field:
                 pairs.append((int(i), float(val)))
     if space not in (VH, XH):
         raise ValueError(f"field dump {path} lacks a valid '# space' header")
-    idx = np.arange(mesh.n_vertices) if space == VH else mesh.interior
+    idx = np.arange(mesh.n_vertices) if space == VH else geometry(mesh).interior
     if len(pairs) != len(idx) or any(i != j for (i, _), j in zip(pairs, idx)):
         raise ValueError(f"field dump {path} does not match the mesh dof layout")
     return Field(mesh, space, np.array([val for _, val in pairs]))

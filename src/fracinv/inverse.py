@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import fem, linalg, timestep
+from . import fem, timestep
 from .errors import DegenerateDirectionError
 from .fem import VH, XH, Field
 from .mesh import Mesh
@@ -59,10 +59,12 @@ class InverseSpec:
     def __post_init__(self):
         if not (0.0 < self.c0 < self.c1):
             raise ValueError(f"bounds must satisfy 0 < c0 < c1, got ({self.c0}, {self.c1})")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if self.z_delta.mesh is not self.mesh or self.z_delta.space != XH:
             raise ValueError("observation must be an X_h field on the spec mesh")
+        if not np.isfinite(self.z_delta.values).all():
+            raise ValueError("observation has non-finite entries")
         if self.q_init is None:
             object.__setattr__(self, "q_init",
                                Field(self.mesh, VH, np.ones(self.mesh.n_vertices)))
@@ -102,37 +104,36 @@ def project_admissible(q: Field, c0: float, c1: float) -> Field:
 
 def objective(spec: InverseSpec, q: Field):
     """Objective value as (J, misfit, penalty); runs one forward solve."""
+    return _evaluate(spec, q)[1][:3]
+
+
+def _evaluate(spec, q):
+    """Forward march at q and the objective parts (J, misfit, penalty, residual)."""
     traj = timestep.solve_forward(spec.mesh, q, spec.u0, spec.f, spec.alpha, spec.grid)
-    return _objective_parts(spec, q, traj, _full_stiffness(spec.mesh))[:3]
-
-
-def _full_stiffness(mesh):
-    return fem._stiffness_with_coeff(mesh, VH, np.ones(mesh.n_vertices))
-
-
-def _objective_parts(spec, q, traj, stiff_full):
-    mass_x = fem.assemble_mass(spec.mesh, XH)
+    geo = fem.geometry(spec.mesh)
     r = traj.values[-1] - spec.z_delta.values
-    misfit = 0.5 * float(r @ (mass_x @ r))
-    penalty = 0.5 * spec.gamma * float(q.values @ (stiff_full @ q.values))
-    return misfit + penalty, misfit, penalty, r
+    misfit = 0.5 * float(r @ (geo.mass[XH] @ r))
+    penalty = 0.5 * spec.gamma * float(q.values @ (geo.stiffness @ q.values))
+    return traj, (misfit + penalty, misfit, penalty, r)
 
 
 def gradient(spec: InverseSpec, q: Field) -> Field:
     """Dual-space gradient of the objective: adjoint misfit part plus the
     weak form of the Laplacian penalty with natural boundary conditions."""
-    traj = timestep.solve_forward(spec.mesh, q, spec.u0, spec.f, spec.alpha, spec.grid)
-    residual = Field(spec.mesh, XH, traj.values[-1] - spec.z_delta.values)
-    adj = timestep.solve_adjoint(traj, q, spec.alpha, spec.grid, residual)
-    reg = spec.gamma * (_full_stiffness(spec.mesh) @ q.values)
+    traj, parts = _evaluate(spec, q)
+    return _raw_gradient(spec, q, traj, parts[3])
+
+
+def _raw_gradient(spec, q, traj, residual):
+    adj = timestep.solve_adjoint(traj, spec.alpha, spec.grid,
+                                 Field(spec.mesh, XH, residual))
+    reg = spec.gamma * (fem.geometry(spec.mesh).stiffness @ q.values)
     return Field(spec.mesh, VH, adj.misfit_gradient.values + reg)
 
 
 def smooth_direction(mesh: Mesh, raw_gradient: Field) -> Field:
     """Descent direction from the full-H1 Riesz map: (M + K) g = -raw."""
-    mass = fem.assemble_mass(mesh, VH)
-    riesz = linalg.factorize(mass + _full_stiffness(mesh))
-    return Field(mesh, VH, riesz.solve(-raw_gradient.values))
+    return Field(mesh, VH, fem.geometry(mesh).riesz_solver.solve(-raw_gradient.values))
 
 
 def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None,
@@ -147,7 +148,7 @@ def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None,
     """
     if k == 0 or g_prev is None or d_prev is None:
         return g_k
-    mass = fem.assemble_mass(g_k.mesh, g_k.space)
+    mass = fem.geometry(g_k.mesh).mass[g_k.space]
     denom = float(g_prev.values @ (mass @ g_prev.values))
     if denom == 0.0:
         return g_k
@@ -160,17 +161,16 @@ def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None,
 def step_size(spec: InverseSpec, q: Field, d: Field,
               forward: timestep.Trajectory) -> float:
     """Exact minimizer of the objective under the linearized forward map."""
-    sens = timestep.solve_sensitivity(forward, q, d, spec.alpha, spec.grid)
-    return _step_from_sensitivity(spec, q, d, forward, sens,
-                                  _full_stiffness(spec.mesh))
+    return _model_step(spec, q, d, forward)
 
 
-def _step_from_sensitivity(spec, q, d, forward, sens, stiff_full,
-                           cap_at_discrepancy=False):
-    mass_x = fem.assemble_mass(spec.mesh, XH)
+def _model_step(spec, q, d, forward, cap_at_discrepancy=False):
+    sens = timestep.solve_sensitivity(forward, d, spec.alpha, spec.grid)
+    geo = fem.geometry(spec.mesh)
+    mass_x = geo.mass[XH]
     w_term = sens.values[-1]
     r = forward.values[-1] - spec.z_delta.values
-    kd = stiff_full @ d.values
+    kd = geo.stiffness @ d.values
     rw = float(r @ (mass_x @ w_term))
     ww = float(w_term @ (mass_x @ w_term))
     numer = -(rw + spec.gamma * float(q.values @ kd))
@@ -207,16 +207,9 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
     discrepancy sphere.
     """
     mesh = spec.mesh
-    stiff_full = _full_stiffness(mesh)
-    mass_full = fem.assemble_mass(mesh, VH)
-    riesz = linalg.factorize(mass_full + stiff_full)
-
-    def forward(qf):
-        return timestep.solve_forward(mesh, qf, spec.u0, spec.f, spec.alpha, spec.grid)
-
+    mass_full = fem.geometry(mesh).mass[VH]
     q = project_admissible(spec.q_init, spec.c0, spec.c1)
-    traj = forward(q)
-    J, misfit, penalty, residual = _objective_parts(spec, q, traj, stiff_full)
+    traj, (J, misfit, penalty, residual) = _evaluate(spec, q)
 
     history: list[IterateState] = []
     g_prev = None
@@ -231,10 +224,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
             if math.sqrt(2.0 * misfit) <= spec.stop.discrepancy_factor * spec.stop.noise_level:
                 converged, reason = True, "discrepancy"
                 break
-        adj = timestep.solve_adjoint(traj, q, spec.alpha, spec.grid,
-                                     Field(mesh, XH, residual))
-        raw = adj.misfit_gradient.values + spec.gamma * (stiff_full @ q.values)
-        g = Field(mesh, VH, riesz.solve(-raw))
+        g = smooth_direction(mesh, _raw_gradient(spec, q, traj, residual))
         grad_norm = math.sqrt(max(float(g.values @ (mass_full @ g.values)), 0.0))
         if spec.stop.noise_level is None and grad_norm <= spec.stop.gradient_tol:
             converged, reason = True, "gradient"
@@ -244,16 +234,13 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
         accepted = None
         for direction in (d, g) if d is not g else (d,):
             try:
-                sens = timestep.solve_sensitivity(traj, q, direction, spec.alpha, spec.grid)
-                s = _step_from_sensitivity(spec, q, direction, traj, sens,
-                                           stiff_full, cap_at_discrepancy=True)
+                s = _model_step(spec, q, direction, traj, cap_at_discrepancy=True)
             except DegenerateDirectionError:
                 continue
             for _ in range(MAX_BACKTRACKS + 1):
                 q_try = project_admissible(
                     Field(mesh, VH, q.values + s * direction.values), spec.c0, spec.c1)
-                traj_try = forward(q_try)
-                parts = _objective_parts(spec, q_try, traj_try, stiff_full)
+                traj_try, parts = _evaluate(spec, q_try)
                 if parts[0] <= J:
                     accepted = (q_try, traj_try, parts, direction, s)
                     break
@@ -264,6 +251,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
             reason = "stalled"
             break
 
+        # the old trajectory, and with it its factorization, is released here
         q_new, traj, (J, misfit, penalty, residual), d_used, s_used = accepted
         stalled = np.array_equal(q_new.values, q.values)
         q = q_new

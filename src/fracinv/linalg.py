@@ -1,10 +1,9 @@
 """Sparse SPD solves with factorization reuse.
 
-The implicit time stepper solves against one fixed matrix N times, so the
-default method is a sparse direct factorization computed once and reused.
-Diagonally preconditioned conjugate gradients are available as a fallback
-for larger systems.  Factorizations are immutable after construction;
-concurrent solves with distinct right-hand sides do not interfere.
+The implicit time stepper solves against one fixed matrix N times, so a
+sparse direct factorization is computed once and reused.  Factorizations
+are immutable after construction; concurrent solves with distinct
+right-hand sides do not interfere.
 """
 
 from __future__ import annotations
@@ -13,55 +12,28 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NotSpdError, SolveConvergenceError
-
-DEFAULT_TOL = 1e-12
+from .errors import NotSpdError
 
 
 class SpdSolver:
-    """Reusable solver handle for a symmetric positive definite matrix."""
+    """Reusable sparse LU factorization of a symmetric positive definite matrix."""
 
-    def __init__(self, matrix, method="direct", tol=DEFAULT_TOL, max_iterations=None):
+    def __init__(self, matrix):
         self.matrix = matrix.tocsr()
-        self.method = method
-        self.tol = tol
-        self.max_iterations = max_iterations
-        self.solve_count = 0
-        if method == "direct":
-            try:
-                self._lu = spla.splu(self.matrix.tocsc())
-            except RuntimeError as exc:  # singular factor / zero pivot
-                raise NotSpdError(f"factorization broke down: {exc}") from exc
-        elif method == "cg":
-            diag = self.matrix.diagonal()
-            self._precond = spla.LinearOperator(
-                self.matrix.shape, matvec=lambda x: x / diag)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        try:
+            self._lu = spla.splu(self.matrix.tocsc())
+        except RuntimeError as exc:  # singular factor / zero pivot
+            raise NotSpdError(f"factorization broke down: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.matrix.shape[0],):
             raise ValueError(f"right-hand side has shape {b.shape}, "
                              f"matrix is {self.matrix.shape}")
-        self.solve_count += 1
-        if self.method == "direct":
-            return self._lu.solve(b)
-        x, info = spla.cg(self.matrix, b, rtol=self.tol, atol=0.0,
-                          maxiter=self.max_iterations, M=self._precond)
-        if info > 0:
-            res = np.linalg.norm(self.matrix @ x - b)
-            scale = np.linalg.norm(b)
-            raise SolveConvergenceError(
-                f"cg did not converge in {info} iterations "
-                f"(relative residual {res / scale if scale else res:.3e})",
-                residual=res)
-        if info < 0:
-            raise NotSpdError("cg broke down: matrix is not SPD")
-        return x
+        return self._lu.solve(b)
 
 
-def factorize(matrix, method="direct", tol=DEFAULT_TOL, max_iterations=None) -> SpdSolver:
+def factorize(matrix) -> SpdSolver:
     """Validate symmetry and positivity necessities, then build a solver handle."""
     matrix = matrix.tocsr()
     if matrix.shape[0] != matrix.shape[1]:
@@ -72,9 +44,4 @@ def factorize(matrix, method="direct", tol=DEFAULT_TOL, max_iterations=None) -> 
         raise NotSpdError("matrix is not symmetric")
     if matrix.shape[0] and matrix.diagonal().min() <= 0.0:
         raise NotSpdError("matrix has a nonpositive diagonal entry")
-    return SpdSolver(matrix, method=method, tol=tol, max_iterations=max_iterations)
-
-
-def solve(solver: SpdSolver, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b against a prepared factorization."""
-    return solver.solve(b)
+    return SpdSolver(matrix)

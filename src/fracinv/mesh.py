@@ -11,7 +11,7 @@ gap stays O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class Mesh:
         Largest cell diameter.
     domain : str or None
         "interval", "disk", or None for meshes of unknown provenance.
+    derived : dict
+        Data other modules derive from the mesh on first use (the P1
+        geometry of ``fem.geometry``), kept here so that it lives exactly
+        as long as the mesh.
     """
 
     dim: int
@@ -46,6 +50,7 @@ class Mesh:
     boundary: np.ndarray
     h: float
     domain: str | None = None
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_vertices(self) -> int:

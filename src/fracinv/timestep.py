@@ -4,10 +4,11 @@ The fractional derivative of order alpha in (0, 1] is discretized on a
 uniform grid by the convolution weights of the series expansion of
 (1 - z)**alpha.  One implicit solve per step advances the state; the
 system matrix tau**(-alpha) * M + K(q) is fixed over the whole march and
-is factorized once.  The history term is evaluated in the rearranged form
-with partial sums multiplying the initial state, which is how the
-quadrature acts on differences from the initial value and avoids
-cancellation for long histories.
+is factorized once; the sensitivity and adjoint marches along a forward
+trajectory reuse that factorization.  The history term is evaluated in
+the rearranged form with partial sums multiplying the initial state,
+which is how the quadrature acts on differences from the initial value
+and avoids cancellation for long histories.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -17,6 +18,7 @@ to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +36,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"final time must be positive and finite, got {self.T}")
         if self.N < 1:
             raise ValueError(f"step count must be >= 1, got {self.N}")
 
@@ -81,12 +83,19 @@ def cq_weights(alpha: float, N: int) -> CQWeights:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States U^0..U^N of one march, stored as an (N+1, n_dofs) array."""
+    """States U^0..U^N of one march, stored as an (N+1, n_dofs) array.
+
+    A forward march also carries its factorized system tau**-alpha M + K(q)
+    and its order alpha, which the sensitivity and adjoint marches along
+    that trajectory reuse.
+    """
 
     mesh: Mesh
     space: str
     grid: TimeGrid
     values: np.ndarray
+    alpha: float | None = None
+    solver: linalg.SpdSolver | None = None
 
     def __post_init__(self):
         expect = (self.grid.N + 1, fem.n_dofs(self.mesh, self.space))
@@ -118,13 +127,6 @@ class AdjointSolution:
     misfit_gradient: Field
 
 
-def _system(mesh, q, alpha, grid):
-    mass = fem.assemble_mass(mesh, XH)
-    stiff = fem.assemble_stiffness(mesh, XH, q)
-    system = (grid.tau ** -alpha) * mass + stiff
-    return mass, linalg.factorize(system)
-
-
 def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
                   ) -> Trajectory:
     """March the fully discrete scheme from U^0 = P_h u0.
@@ -134,30 +136,31 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
     """
     weights = cq_weights(alpha, grid.N)
     b, s = weights.b, weights.partial_sums
-    mass, solver = _system(mesh, q, alpha, grid)
-    load = fem.load_vector(mesh, XH, f)
+    mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
+    solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
+    load = fem.load_vector(mesh, XH, f)
     states = np.empty((grid.N + 1, fem.n_dofs(mesh, XH)))
     states[0] = fem.l2_project(mesh, u0).values
     for n in range(1, grid.N + 1):
         hist = b[n:0:-1] @ states[:n]
         states[n] = solver.solve(load + scale * (mass @ (s[n] * states[0] - hist)))
-    return Trajectory(mesh, XH, grid, states)
+    return Trajectory(mesh, XH, grid, states, alpha, solver)
 
 
-def solve_sensitivity(forward: Trajectory, q: Field, d: Field, alpha: float,
+def solve_sensitivity(forward: Trajectory, d: Field, alpha: float,
                       grid: TimeGrid) -> Trajectory:
     """Derivative of the discrete forward map along the coefficient direction d.
 
     W^0 = 0 and each step carries the load -(d grad U^n, grad phi_i) plus
     the quadrature history of W; the map is linear in d.
     """
-    _check_compatible(forward, grid)
+    solver = _forward_system(forward, alpha, grid)
     mesh = forward.mesh
     if d.mesh is not mesh or d.space != fem.VH:
         raise ValueError("direction must be a V_h field on the forward mesh")
     b = cq_weights(alpha, grid.N).b
-    mass, solver = _system(mesh, q, alpha, grid)
+    mass = fem.geometry(mesh).mass[XH]
     stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
     scale = grid.tau ** -alpha
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
@@ -167,7 +170,7 @@ def solve_sensitivity(forward: Trajectory, q: Field, d: Field, alpha: float,
     return Trajectory(mesh, XH, grid, states)
 
 
-def solve_adjoint(forward: Trajectory, q: Field, alpha: float, grid: TimeGrid,
+def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
                   terminal_residual: Field) -> AdjointSolution:
     """Transpose of the sensitivity map applied to the terminal residual.
 
@@ -176,12 +179,12 @@ def solve_adjoint(forward: Trajectory, q: Field, alpha: float, grid: TimeGrid,
     per-step pairings of grad U^n with grad V^n into the misfit-gradient
     dual vector.
     """
-    _check_compatible(forward, grid)
+    solver = _forward_system(forward, alpha, grid)
     mesh = forward.mesh
     if terminal_residual.mesh is not mesh or terminal_residual.space != XH:
         raise ValueError("terminal residual must be an X_h field on the forward mesh")
     b = cq_weights(alpha, grid.N).b
-    mass, solver = _system(mesh, q, alpha, grid)
+    mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     n_steps = grid.N
     states = np.zeros((n_steps + 1, fem.n_dofs(mesh, XH)))
@@ -213,9 +216,17 @@ def discrete_frac_derivative(traj: Trajectory, alpha: float) -> list[Field]:
     return out
 
 
-def _check_compatible(forward: Trajectory, grid: TimeGrid):
+def _forward_system(forward: Trajectory, alpha: float, grid: TimeGrid):
+    """The factorized system a forward trajectory carries, checked against
+    the order and grid of the march that is to reuse it."""
     if forward.grid != grid:
         raise ValueError(f"trajectory grid {forward.grid} does not match {grid}")
+    if forward.solver is None:
+        raise ValueError("trajectory carries no factorized system; "
+                         "march it with solve_forward")
+    if forward.alpha != alpha:
+        raise ValueError(f"trajectory order alpha={forward.alpha} does not match {alpha}")
+    return forward.solver
 
 
 def save_trajectory(traj: Trajectory, directory, name="u", mesh_file="") -> None:

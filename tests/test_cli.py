@@ -107,6 +107,13 @@ def test_invert_negative_gamma_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_forward_non_finite_T_exits_2(tmp_path, capsys, T):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path, "--set", f"problem.T={T}"]) == EXIT_CONFIG
+    assert "problem.T" in capsys.readouterr().err
+
+
 def test_invert_produces_history_and_field(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE + f"""
 [inversion]

@@ -1,5 +1,8 @@
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracinv import fem
 from fracinv.errors import InvalidCoefficientError
@@ -180,23 +183,37 @@ def test_norm_l2_sine():
     assert errs[0] > errs[-1]
 
 
-def test_grad_dot_zero_and_symmetry():
-    m = generate_disk_mesh(0.35)
-    rng = np.random.default_rng(1)
-    a = Field(m, VH, rng.standard_normal(m.n_vertices))
-    b = Field(m, VH, rng.standard_normal(m.n_vertices))
-    zero = fem.zero_field(m, VH)
-    assert np.abs(fem.grad_dot(a, zero).values).max() == 0.0
-    ab = fem.grad_dot(a, b).values
-    ba = fem.grad_dot(b, a).values
-    assert np.array_equal(ab, ba)
+@pytest.mark.parametrize("mesh", [generate_interval_mesh(1), generate_interval_mesh(9),
+                                  refine_uniform(generate_disk_mesh(0.5))],
+                         ids=["interval-1", "interval-9", "disk"])
+def test_assembly_is_bit_identical_to_coo_reference(mesh):
+    # the fixed pattern sums each entry's cell contributions in the order
+    # scipy's COO-to-CSR conversion does, so no result changes by a bit
+    geo = fem.geometry(mesh)
+    q = 0.5 + np.random.default_rng(3).random(mesh.n_vertices)
+    for space in (VH, XH):
+        dof = geo.dofs[space]
+        rows = np.repeat(dof[mesh.cells], mesh.dim + 1, axis=1).ravel()
+        cols = np.tile(dof[mesh.cells], (1, mesh.dim + 1)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        n = fem.n_dofs(mesh, space)
+        for got, local in ((fem.assemble_mass(mesh, space), geo.local_mass()),
+                           (fem._stiffness_with_coeff(mesh, space, q),
+                            geo.local_stiffness(q))):
+            ref = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                                shape=(n, n)).tocsr()
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
 
 
-def test_grad_dot_linear_fields():
-    m = generate_interval_mesh(20)
-    a = fem.interpolate(m, VH, lambda x: x)
-    g = fem.grad_dot(a, a)
-    np.testing.assert_allclose(g.values, 1.0, atol=1e-10)
+def test_geometry_lives_as_long_as_its_mesh():
+    mesh = generate_disk_mesh(0.4)
+    geo = weakref.ref(fem.geometry(mesh))
+    assert fem.geometry(mesh) is geo()
+    fem.l2_project(mesh, 1.0)  # caches the mass factorization too
+    del mesh
+    assert geo() is None
 
 
 def test_field_dump_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracinv import fem, timestep
+from fracinv import fem, linalg, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.fem import VH, XH, Field
 from fracinv.inverse import (InverseSpec, StoppingRule, cg_direction,
@@ -313,11 +313,49 @@ class TestRunInversion:
         assert i1 == i3
 
 
+def test_each_marched_coefficient_is_factorized_once(monkeypatch):
+    # the sensitivity and adjoint marches reuse the factorization of the
+    # forward march they follow, so the loop factorizes one system per
+    # coefficient it marches and nothing twice
+    mesh = generate_interval_mesh(30)
+    rng = np.random.default_rng(23)
+    q_true = Field(mesh, VH, 1.0 + 0.2 * rng.random(mesh.n_vertices))
+    traj = timestep.solve_forward(mesh, q_true, u0, 1.0, 0.5, TimeGrid(1.0, 10))
+    z = Field(mesh, XH, traj.terminal.values
+              + 0.02 * rng.standard_normal(len(mesh.interior)))
+    spec = make_spec(mesh, gamma=1e-9, z=z, max_iters=8)
+    # the mesh's own mass and Riesz factorizations are built once per mesh
+    fem.geometry(mesh).mass_solver, fem.geometry(mesh).riesz_solver
+    factorize, solve_forward = linalg.factorize, timestep.solve_forward
+    factored, marched = [], []
+
+    def counting_factorize(matrix):
+        m = matrix.tocsr()
+        factored.append((m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()))
+        return factorize(matrix)
+
+    def recording_forward(mesh, q, *args):
+        marched.append(q.values.tobytes())
+        return solve_forward(mesh, q, *args)
+
+    monkeypatch.setattr(linalg, "factorize", counting_factorize)
+    monkeypatch.setattr(timestep, "solve_forward", recording_forward)
+    result = run_inversion(spec)
+    assert result.iterations >= 3
+    assert len(set(factored)) == len(factored) == len(set(marched))
+
+
 def test_spec_validation():
     mesh = generate_interval_mesh(8)
     z = fem.zero_field(mesh, XH)
-    with pytest.raises(ValueError):
-        make_spec(mesh, gamma=-1.0, z=z)
+    for gamma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            make_spec(mesh, gamma=gamma, z=z)
+    for bad in (np.nan, np.inf):
+        values = np.zeros(len(mesh.interior))
+        values[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_spec(mesh, z=Field(mesh, XH, values))
     with pytest.raises(ValueError):
         make_spec(mesh, z=z, c0=2.0, c1=1.0)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fracinv import fem, linalg
-from fracinv.errors import NotSpdError, SolveConvergenceError
+from fracinv.errors import NotSpdError
 from fracinv.fem import VH, XH, Field
 from fracinv.mesh import generate_interval_mesh
 
@@ -82,31 +82,6 @@ def test_manufactured_solution_recovery():
     x0 = rng.standard_normal(40)
     x = linalg.factorize(spd).solve(spd @ x0)
     assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
-
-
-def test_cg_method_converges():
-    m = generate_interval_mesh(64)
-    k = fem.assemble_stiffness(m, XH, Field(m, VH, np.ones(m.n_vertices)))
-    rhs = fem.load_vector(m, XH, lambda x: np.ones_like(x))
-    direct = linalg.factorize(k).solve(rhs)
-    iterative = linalg.factorize(k, method="cg", tol=1e-12).solve(rhs)
-    np.testing.assert_allclose(iterative, direct, atol=1e-10)
-
-
-def test_cg_iteration_budget_error():
-    m = generate_interval_mesh(64)
-    k = fem.assemble_stiffness(m, XH, Field(m, VH, np.ones(m.n_vertices)))
-    rhs = fem.load_vector(m, XH, lambda x: np.ones_like(x))
-    with pytest.raises(SolveConvergenceError) as info:
-        linalg.factorize(k, method="cg", tol=1e-14, max_iterations=2).solve(rhs)
-    assert info.value.residual is not None
-
-
-def test_solve_function_alias():
-    a = sp.identity(3, format="csr")
-    solver = linalg.factorize(a)
-    b = np.ones(3)
-    np.testing.assert_array_equal(linalg.solve(solver, b), solver.solve(b))
 
 
 def test_dimension_mismatch():

@@ -1,13 +1,24 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.special import binom
 
 from fracinv import fem, linalg, timestep
 from fracinv.fem import VH, XH, Field
-from fracinv.mesh import generate_interval_mesh
+from fracinv.mesh import generate_disk_mesh, generate_interval_mesh
 from fracinv.timestep import (TimeGrid, cq_weights, discrete_frac_derivative,
                               solve_adjoint, solve_forward, solve_sensitivity)
+
+
+# While collecting, hypothesis caches the literals it finds in local modules
+# under .hypothesis/, example database or not; keep that out of the tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "fracinv-hypothesis")
 
 
 def unit_coefficient(mesh):
@@ -146,21 +157,21 @@ class TestSensitivity:
 
     def test_zero_direction(self):
         d = fem.zero_field(self.mesh, VH)
-        sens = solve_sensitivity(self.traj, self.q, d, self.alpha, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
         assert np.abs(sens.values).max() == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         d = Field(self.mesh, VH, rng.standard_normal(self.mesh.n_vertices))
-        w1 = solve_sensitivity(self.traj, self.q, d, self.alpha, self.grid)
+        w1 = solve_sensitivity(self.traj, d, self.alpha, self.grid)
         d2 = Field(self.mesh, VH, 2.0 * d.values)
-        w2 = solve_sensitivity(self.traj, self.q, d2, self.alpha, self.grid)
+        w2 = solve_sensitivity(self.traj, d2, self.alpha, self.grid)
         np.testing.assert_allclose(w2.values, 2.0 * w1.values, atol=1e-12)
 
     def test_central_difference_oracle(self):
         rng = np.random.default_rng(6)
         d = Field(self.mesh, VH, rng.standard_normal(self.mesh.n_vertices))
-        sens = solve_sensitivity(self.traj, self.q, d, self.alpha, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
         errs = []
         for eps in (1e-3, 1e-4):
             qp = Field(self.mesh, VH, self.q.values + eps * d.values)
@@ -176,7 +187,7 @@ class TestSensitivity:
     def test_grid_mismatch_rejected(self):
         d = fem.zero_field(self.mesh, VH)
         with pytest.raises(ValueError):
-            solve_sensitivity(self.traj, self.q, d, self.alpha, TimeGrid(1.0, 13))
+            solve_sensitivity(self.traj, d, self.alpha, TimeGrid(1.0, 13))
 
 
 class TestAdjoint:
@@ -191,29 +202,51 @@ class TestAdjoint:
         self.rng = rng
 
     def test_zero_residual(self):
-        adj = solve_adjoint(self.traj, self.q, self.alpha, self.grid,
+        adj = solve_adjoint(self.traj, self.alpha, self.grid,
                             fem.zero_field(self.mesh, XH))
         assert np.abs(adj.states.values).max() == 0.0
         assert np.abs(adj.misfit_gradient.values).max() == 0.0
 
-    def test_duality_identity(self):
-        # (r, W^N(d)) equals the adjoint-assembled dual vector paired with d
-        r = Field(self.mesh, XH, self.rng.standard_normal(len(self.mesh.interior)))
-        adj = solve_adjoint(self.traj, self.q, self.alpha, self.grid, r)
-        mass = fem.assemble_mass(self.mesh, XH)
-        for _ in range(5):
-            d = Field(self.mesh, VH, self.rng.standard_normal(self.mesh.n_vertices))
-            sens = solve_sensitivity(self.traj, self.q, d, self.alpha, self.grid)
+    @settings(database=None, derandomize=True, max_examples=40, deadline=None)
+    @given(disk=st.booleans(), size=st.integers(2, 24),
+           alpha=st.floats(0.0, 1.0, exclude_min=True), n_steps=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_duality_identity(self, disk, size, alpha, n_steps, seed):
+        # (r, W^N(d)) equals the adjoint-assembled dual vector paired with d,
+        # on interval and disk meshes, for any order and step count
+        mesh = generate_disk_mesh(1.0 / min(size, 5)) if disk else generate_interval_mesh(size)
+        rng = np.random.default_rng(seed)
+        q = Field(mesh, VH, 1.0 + 0.4 * rng.random(mesh.n_vertices))
+        grid = TimeGrid(1.0, n_steps)
+        u0 = lambda *x: 1.0 - sum(c * c for c in x)
+        traj = solve_forward(mesh, q, u0, 1.0, alpha, grid)
+        r = Field(mesh, XH, rng.standard_normal(len(mesh.interior)))
+        adj = solve_adjoint(traj, alpha, grid, r)
+        mass = fem.assemble_mass(mesh, XH)
+        for _ in range(3):
+            d = Field(mesh, VH, rng.standard_normal(mesh.n_vertices))
+            sens = solve_sensitivity(traj, d, alpha, grid)
             lhs = float(r.values @ (mass @ sens.terminal.values))
             rhs = float(adj.misfit_gradient.values @ d.values)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+    def test_reused_factor_must_match_the_march(self):
+        r = fem.zero_field(self.mesh, XH)
+        d = fem.zero_field(self.mesh, VH)
+        with pytest.raises(ValueError, match="alpha"):
+            solve_adjoint(self.traj, 0.5, self.grid, r)
+        with pytest.raises(ValueError, match="alpha"):
+            solve_sensitivity(self.traj, d, 0.5, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
+        with pytest.raises(ValueError, match="factorized system"):
+            solve_adjoint(sens, self.alpha, self.grid, r)
 
     def test_alpha_one_matches_classical_adjoint(self):
         # independent oracle: backward-in-time parabolic adjoint recursion
         grid = TimeGrid(0.8, 12)
         traj = solve_forward(self.mesh, self.q, u0_parabola, 1.0, 1.0, grid)
         r = Field(self.mesh, XH, self.rng.standard_normal(len(self.mesh.interior)))
-        adj = solve_adjoint(traj, self.q, 1.0, grid, r)
+        adj = solve_adjoint(traj, 1.0, grid, r)
 
         mass = fem.assemble_mass(self.mesh, XH)
         stiff = fem.assemble_stiffness(self.mesh, XH, self.q)
@@ -262,8 +295,9 @@ class TestFracDerivative:
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 5)
+    for T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TimeGrid(T, 5)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
     g = TimeGrid(2.0, 8)
