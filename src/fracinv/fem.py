@@ -122,6 +122,20 @@ class Geometry:
         """Factorized full-H1 Riesz matrix M_V + K_V(1)."""
         return linalg.factorize(self.mass[VH] + self.stiffness)
 
+    @cached_property
+    def xh_gradients(self) -> list[sp.csr_matrix]:
+        """Per dimension, the map from X_h values to that component of the
+        cellwise gradient: one row per cell, holding its vertices in local
+        order, which is the order :func:`cell_gradient` sums them in."""
+        dof = self.dofs[XH][self.cells]
+        nloc = dof.shape[1]
+        # boundary vertices carry zero: their entries are zero
+        grads = np.where((dof >= 0)[..., None], self.gradients, 0.0)
+        indptr = np.arange(0, dof.size + 1, nloc)
+        shape = (len(self.cells), len(self.interior))
+        return [sp.csr_matrix((grads[:, :, d].ravel(), np.maximum(dof, 0).ravel(), indptr),
+                              shape=shape) for d in range(self.dim)]
+
 
 def _pattern(cells, dof):
     """CSR pattern of one space's matrices: (entries, slots, indices, indptr).

@@ -10,6 +10,12 @@ the rearranged form with partial sums multiplying the initial state,
 which is how the quadrature acts on differences from the initial value
 and avoids cancellation for long histories.
 
+All three marches sum their histories with one blocked-FFT routine,
+:func:`_march` (Hairer, Lubich and Schlichte 1985): exact up to rounding,
+O(N log^2 N) rather than O(N^2) per degree of freedom, and no memory
+beyond the state array but bounded FFT temporaries.  The adjoint runs it
+on the time-reversed states.
+
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
 transpose, so adjoint directional derivatives match sensitivity pairings
@@ -26,6 +32,10 @@ import numpy as np
 from . import fem, linalg
 from .fem import XH, Field
 from .mesh import Mesh
+
+# Rows per direct-sum leaf of the blocked history, and columns per FFT product.
+_LEAF = 64
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -133,18 +143,25 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
 
     Each step solves (tau**-alpha * M + K(q)) U^n = F + tau**-alpha *
     M (s_n U^0 - sum_{j=1..n} b_j U^{n-j}) with s_n the partial weight sum.
+    ``u0`` and ``f`` are data as :func:`fem.load_vector` takes them; an
+    X_h array is taken as U^0 itself, or as the load vector F, which is how
+    an inversion passes the data it computes once.
     """
     weights = cq_weights(alpha, grid.N)
     b, s = weights.b, weights.partial_sums
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
-    load = fem.load_vector(mesh, XH, f)
-    states = np.empty((grid.N + 1, fem.n_dofs(mesh, XH)))
-    states[0] = fem.l2_project(mesh, u0).values
-    for n in range(1, grid.N + 1):
-        hist = b[n:0:-1] @ states[:n]
-        states[n] = solver.solve(load + scale * (mass @ (s[n] * states[0] - hist)))
+    start = u0 if isinstance(u0, np.ndarray) else fem.l2_project(mesh, u0).values
+    load = f if isinstance(f, np.ndarray) else fem.load_vector(mesh, XH, f)
+    n_dofs = fem.n_dofs(mesh, XH)
+    for what, data in (("initial state", start), ("load", load)):
+        if data.shape != (n_dofs,):
+            raise ValueError(f"{what} has shape {data.shape}, expected ({n_dofs},)")
+    states = np.zeros((grid.N + 1, n_dofs))
+    states[0] = start
+    _march(states, b, lambda n, hist: solver.solve(
+        load + scale * (mass @ (s[n] * start - hist))))
     return Trajectory(mesh, XH, grid, states, alpha, solver)
 
 
@@ -163,10 +180,10 @@ def solve_sensitivity(forward: Trajectory, d: Field, alpha: float,
     mass = fem.geometry(mesh).mass[XH]
     stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
     scale = grid.tau ** -alpha
+    u = forward.values
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
-    for n in range(1, grid.N + 1):
-        hist = b[n:0:-1] @ states[:n]
-        states[n] = solver.solve(-(stiff_d @ forward.values[n]) - scale * (mass @ hist))
+    _march(states, b, lambda n, hist: solver.solve(
+        -(stiff_d @ u[n]) - scale * (mass @ hist)))
     return Trajectory(mesh, XH, grid, states)
 
 
@@ -175,9 +192,9 @@ def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
     """Transpose of the sensitivity map applied to the terminal residual.
 
     Runs backwards from A V^N = M r, each earlier state collecting the
-    transposed quadrature history of the later ones, and accumulates the
-    per-step pairings of grad U^n with grad V^n into the misfit-gradient
-    dual vector.
+    transposed quadrature history of the later ones: the forward history
+    march on the time-reversed states.  The misfit-gradient dual vector
+    pairs grad U^n with grad V^n, summed over the steps.
     """
     solver = _forward_system(forward, alpha, grid)
     mesh = forward.mesh
@@ -186,34 +203,111 @@ def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
     b = cq_weights(alpha, grid.N).b
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
-    n_steps = grid.N
-    states = np.zeros((n_steps + 1, fem.n_dofs(mesh, XH)))
-    states[n_steps] = solver.solve(mass @ terminal_residual.values)
-    for n in range(n_steps - 1, 0, -1):
-        hist = b[1:n_steps - n + 1] @ states[n + 1:]
-        states[n] = solver.solve(-scale * (mass @ hist))
-    adj = Trajectory(mesh, XH, grid, states)
-    pair = np.zeros(mesh.n_cells)
-    for n in range(1, n_steps + 1):
-        gu = fem.cell_gradient(forward.field(n))
-        gv = fem.cell_gradient(adj.field(n))
-        pair += np.einsum("cd,cd->c", gu, gv)
+    states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
+    states[-1] = solver.solve(mass @ terminal_residual.values)
+    # V^N, ..., V^1; slot 0 (V^0) is not part of the march and stays zero
+    _march(states[:0:-1], b, lambda n, hist: solver.solve(-scale * (mass @ hist)))
+    pair = _gradient_pairing(mesh, forward.values[1:], states[1:])
     dual = Field(mesh, fem.VH, -fem.cell_average_load(mesh, pair))
-    return AdjointSolution(adj, dual)
+    return AdjointSolution(Trajectory(mesh, XH, grid, states), dual)
 
 
 def discrete_frac_derivative(traj: Trajectory, alpha: float) -> list[Field]:
-    """The quadrature derivative applied to a trajectory, for n = 1..N."""
+    """The quadrature derivative applied to a trajectory, for n = 1..N.
+
+    All N histories come from one FFT convolution over the stored states.
+    """
     grid = traj.grid
     weights = cq_weights(alpha, grid.N)
-    b, s = weights.b, weights.partial_sums
-    scale = grid.tau ** -alpha
-    out = []
-    for n in range(1, grid.N + 1):
-        hist = b[n::-1] @ traj.values[:n + 1]
-        out.append(Field(traj.mesh, traj.space,
-                         scale * (hist - s[n] * traj.values[0])))
-    return out
+    values = traj.values
+    hist = np.zeros((grid.N, values.shape[1]))
+    _convolve(values, weights.b, 2 * grid.N, 1, hist)
+    hist -= weights.partial_sums[1:, None] * values[0]
+    hist *= grid.tau ** -alpha
+    return [Field(traj.mesh, traj.space, row) for row in hist]
+
+
+def terminal_frac_derivative(traj: Trajectory, alpha: float) -> Field:
+    """The quadrature derivative at t_N alone, by one direct sum."""
+    grid = traj.grid
+    weights = cq_weights(alpha, grid.N)
+    hist = weights.b[::-1] @ traj.values
+    return Field(traj.mesh, traj.space, grid.tau ** -alpha
+                 * (hist - weights.partial_sums[-1] * traj.values[0]))
+
+
+def _march(x, b, step):
+    """Causal convolution march: x[n] = step(n, sum_{k<n} b[n-k] x[k]) for
+    n = 1..len(x)-1, with x[0] given and the later rows zero on entry.
+
+    Blocked FFT history (Hairer, Lubich and Schlichte 1985): leaves of
+    _LEAF rows sum their own history directly; when a leaf completes an
+    aligned block of P rows (P = _LEAF times the lowest set bit of the
+    leaf count), one FFT product adds that block's history to the next P
+    rows.  Each pair of rows is counted once, in a leaf or in exactly one
+    block product, so the result is the direct sum up to rounding, in
+    O(N log^2 N) per column.  A row not yet solved holds the history
+    accumulated so far.  Row 0's history terms are added by each leaf, and
+    a march of at most _LEAF steps is one leaf: the direct sum alone.
+    """
+    rows = len(x)
+    for lo in range(1, rows, _LEAF):
+        hi = min(lo + _LEAF, rows)
+        for n in range(lo, hi):
+            if lo == 1:
+                hist = _direct_sum(x, b, 0, n)
+            else:
+                hist = _direct_sum(x, b, lo, n)
+                hist += x[n] + b[n] * x[0]
+            x[n] = step(n, hist)
+        if hi < rows:
+            leaves = (hi - 1) // _LEAF
+            size = _LEAF * (leaves & -leaves)
+            target = x[hi:hi + size]
+            # the shortest exact circular length, rounded up to a multiple of _LEAF
+            n_fft = size + _LEAF * -(-len(target) // _LEAF)
+            _convolve(x[hi - size:hi], b, n_fft, size, target)
+
+
+def _direct_sum(x, b, lo, n):
+    """sum_{k=lo..n-1} b[n-k] x[k], summed in the order the rows lie in
+    memory: on the time-reversed adjoint view that still hands BLAS
+    positive strides, and sums as a march written backwards in time."""
+    rows, weights = x[lo:n], b[n - lo:0:-1]
+    if x.strides[0] < 0:
+        rows, weights = rows[::-1], weights[::-1]
+    return weights @ rows
+
+
+def _convolve(rows, b, n_fft, skip, out):
+    """out[i] += sum_j b[skip + i - j] rows[j], by circular FFT products of
+    length n_fft over _CHUNK columns at a time.
+
+    Exact when skip + len(out) <= n_fft and skip + n_fft >= len(rows) +
+    min(len(b), n_fft) - 1: then no wrapped-around term lands in ``out``.
+    """
+    kernel = np.fft.rfft(b[:n_fft], n_fft)[:, None]
+    stop = skip + len(out)
+    for c in range(0, rows.shape[1], _CHUNK):
+        spectrum = np.fft.rfft(rows[:, c:c + _CHUNK], n_fft, axis=0)
+        spectrum *= kernel
+        out[:, c:c + _CHUNK] += np.fft.irfft(spectrum, n_fft, axis=0)[skip:stop]
+
+
+def _gradient_pairing(mesh, u, v):
+    """Per cell, sum over the rows n of grad u[n] . grad v[n] for X_h state
+    arrays u and v, in blocks of rows whose temporaries stay within the
+    size of u.  The sums run in the order of a loop over
+    :func:`fem.cell_gradient` pairs, so the result is that loop's, bit for
+    bit."""
+    ops = fem.geometry(mesh).xh_gradients
+    block = max(1, u.size // mesh.n_cells)
+    pair = np.zeros(mesh.n_cells)
+    for lo in range(0, len(u), block):
+        ut, vt = u[lo:lo + block].T, v[lo:lo + block].T
+        for column in sum((op @ ut) * (op @ vt) for op in ops).T:
+            pair += column
+    return pair
 
 
 def _forward_system(forward: Trajectory, alpha: float, grid: TimeGrid):

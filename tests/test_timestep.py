@@ -1,4 +1,10 @@
+import gc
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +19,10 @@ from fracinv import fem, linalg, timestep
 from fracinv.fem import VH, XH, Field
 from fracinv.mesh import generate_disk_mesh, generate_interval_mesh
 from fracinv.timestep import (TimeGrid, cq_weights, discrete_frac_derivative,
-                              solve_adjoint, solve_forward, solve_sensitivity)
+                              solve_adjoint, solve_forward, solve_sensitivity,
+                              terminal_frac_derivative)
+
+LEAF = timestep._LEAF
 
 
 # While collecting, hypothesis caches the literals it finds in local modules
@@ -209,11 +218,13 @@ class TestAdjoint:
 
     @settings(database=None, derandomize=True, max_examples=40, deadline=None)
     @given(disk=st.booleans(), size=st.integers(2, 24),
-           alpha=st.floats(0.0, 1.0, exclude_min=True), n_steps=st.integers(1, 12),
+           alpha=st.floats(0.0, 1.0, exclude_min=True),
+           n_steps=st.integers(1, 2 * LEAF + 40),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_duality_identity(self, disk, size, alpha, n_steps, seed):
         # (r, W^N(d)) equals the adjoint-assembled dual vector paired with d,
-        # on interval and disk meshes, for any order and step count
+        # on interval and disk meshes, for any order and step count, direct
+        # (N <= LEAF) and blocked FFT history alike
         mesh = generate_disk_mesh(1.0 / min(size, 5)) if disk else generate_interval_mesh(size)
         rng = np.random.default_rng(seed)
         q = Field(mesh, VH, 1.0 + 0.4 * rng.random(mesh.n_vertices))
@@ -258,6 +269,121 @@ class TestAdjoint:
             v = lu.solve(mass @ v / grid.tau)
 
 
+def direct_marches(forward, d, r, alpha, grid):
+    """Forward, sensitivity and adjoint states and the misfit-gradient dual
+    vector, by the direct history sum and a per-step gradient pairing, on
+    the forward trajectory's own factorized system."""
+    mesh, n_steps = forward.mesh, grid.N
+    b = cq_weights(alpha, n_steps).b
+    s = np.cumsum(b)
+    mass = fem.assemble_mass(mesh, XH)
+    stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
+    load = fem.load_vector(mesh, XH, 1.0)
+    scale = grid.tau ** -alpha
+    solve = forward.solver.solve
+    u, w, v = (np.zeros_like(forward.values) for _ in range(3))
+    u[0] = forward.values[0]
+    for n in range(1, n_steps + 1):
+        u[n] = solve(load + scale * (mass @ (s[n] * u[0] - b[n:0:-1] @ u[:n])))
+        w[n] = solve(-(stiff_d @ u[n]) - scale * (mass @ (b[n:0:-1] @ w[:n])))
+    v[n_steps] = solve(mass @ r.values)
+    for n in range(n_steps - 1, 0, -1):
+        v[n] = solve(-scale * (mass @ (b[1:n_steps - n + 1] @ v[n + 1:])))
+    pair = np.zeros(mesh.n_cells)
+    for n in range(1, n_steps + 1):
+        pair += np.einsum("cd,cd->c", fem.cell_gradient(Field(mesh, XH, u[n])),
+                          fem.cell_gradient(Field(mesh, XH, v[n])))
+    return u, w, v, -fem.cell_average_load(mesh, pair)
+
+
+def relative_gap(got, expect):
+    return np.abs(got - expect).max() / max(np.abs(expect).max(), 1e-300)
+
+
+class TestBlockedHistory:
+    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 161, 300])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
+    def test_marches_match_the_direct_sum(self, disk, alpha, n_steps):
+        mesh = generate_disk_mesh(0.3) if disk else generate_interval_mesh(30)
+        rng = np.random.default_rng(n_steps)
+        q = Field(mesh, VH, 1.0 + 0.4 * rng.random(mesh.n_vertices))
+        d = Field(mesh, VH, rng.standard_normal(mesh.n_vertices))
+        r = Field(mesh, XH, rng.standard_normal(len(mesh.interior)))
+        grid = TimeGrid(1.0, n_steps)
+        traj = solve_forward(mesh, q, lambda *x: 1.0 - sum(c * c for c in x), 1.0,
+                             alpha, grid)
+        sens = solve_sensitivity(traj, d, alpha, grid)
+        adj = solve_adjoint(traj, alpha, grid, r)
+        u, w, v, dual = direct_marches(traj, d, r, alpha, grid)
+        assert relative_gap(traj.values, u) <= 1e-12
+        assert relative_gap(sens.values, w) <= 1e-12
+        assert relative_gap(adj.states.values, v) <= 1e-12
+        assert relative_gap(adj.misfit_gradient.values, dual) <= 1e-12
+        if n_steps <= LEAF:  # one leaf: the direct sum itself, bit for bit
+            for got, expect in ((traj.values, u), (sens.values, w),
+                                (adj.states.values, v), (adj.misfit_gradient.values, dual)):
+                np.testing.assert_array_equal(got, expect)
+
+    def test_batched_pairing_is_the_per_step_loop(self):
+        mesh = generate_disk_mesh(0.2)
+        rng = np.random.default_rng(8)
+        u, v = rng.standard_normal((2, 2 * LEAF, len(mesh.interior)))
+        pair = np.zeros(mesh.n_cells)
+        for un, vn in zip(u, v):
+            pair += np.einsum("cd,cd->c", fem.cell_gradient(Field(mesh, XH, un)),
+                              fem.cell_gradient(Field(mesh, XH, vn)))
+        np.testing.assert_array_equal(timestep._gradient_pairing(mesh, u, v), pair)
+
+    def test_march_memory_stays_near_its_state_array(self):
+        # a forward-1d-sized march: 1599 dofs, 1280 steps
+        mesh = generate_interval_mesh(1600)
+        q = unit_coefficient(mesh)
+        fem.geometry(mesh).mass_solver
+        tracemalloc.start()
+        try:
+            traj = solve_forward(mesh, q, u0_parabola, 1.0, 0.5, TimeGrid(1.0, 1280))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - traj.values.nbytes <= 2 * 2 ** 20
+
+    def test_march_leaves_no_reference_cycle(self):
+        mesh = generate_interval_mesh(20)
+        gc.disable()
+        try:
+            traj = solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0, 0.5,
+                                 TimeGrid(1.0, 3 * LEAF))
+            states = weakref.ref(traj.values)
+            del traj
+            assert states() is None
+        finally:
+            gc.enable()
+
+    def test_import_does_not_load_scipy_fft(self):
+        src = Path(timestep.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracinv; print(sorted(m for m in sys.modules if 'fft' in m))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert "scipy.fft" not in out and "numpy.fft" in out
+
+    def test_array_data_must_be_xh_vectors(self):
+        mesh = generate_interval_mesh(8)
+        q, grid = unit_coefficient(mesh), TimeGrid(1.0, 4)
+        start = fem.l2_project(mesh, u0_parabola).values
+        load = fem.load_vector(mesh, XH, 1.0)
+        traj = solve_forward(mesh, q, start, load, 0.5, grid)
+        np.testing.assert_array_equal(
+            traj.values, solve_forward(mesh, q, u0_parabola, 1.0, 0.5, grid).values)
+        with pytest.raises(ValueError, match="initial state"):
+            solve_forward(mesh, q, np.array(0.5), load, 0.5, grid)
+        with pytest.raises(ValueError, match="load"):
+            solve_forward(mesh, q, start, load[:-1], 0.5, grid)
+
+
 class TestFracDerivative:
     def test_constant_trajectory_zero(self):
         mesh = generate_interval_mesh(10)
@@ -292,6 +418,21 @@ class TestFracDerivative:
         for n in range(1, grid.N + 1):
             res = mass @ derivs[n - 1].values + stiff @ traj.values[n] - load
             assert np.abs(res).max() <= 1e-10 * np.abs(load).max()
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 2 * LEAF + 3])
+    def test_fft_convolution_matches_the_direct_sum(self, n_steps):
+        mesh = generate_disk_mesh(0.3)
+        grid = TimeGrid(1.0, n_steps)
+        values = np.random.default_rng(n_steps).standard_normal(
+            (n_steps + 1, len(mesh.interior)))
+        traj = timestep.Trajectory(mesh, XH, grid, values)
+        weights = cq_weights(0.3, n_steps)
+        b, s = weights.b, weights.partial_sums
+        derivs = discrete_frac_derivative(traj, 0.3)
+        for n in range(1, n_steps + 1):
+            expect = grid.tau ** -0.3 * (b[n::-1] @ values[:n + 1] - s[n] * values[0])
+            assert relative_gap(derivs[n - 1].values, expect) <= 1e-12
+        np.testing.assert_array_equal(terminal_frac_derivative(traj, 0.3).values, expect)
 
 
 def test_time_grid_validation():
