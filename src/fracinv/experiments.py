@@ -298,7 +298,7 @@ def check_positivity(problem_name: str, alpha: float, T: float, n_steps: int,
     grid = TimeGrid(T, n_steps)
     traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
     u_term = traj.terminal
-    d_term = timestep.terminal_frac_derivative(traj, alpha)
+    d_term = timestep.discrete_frac_derivative(traj, alpha)[-1]
     grad_sq = np.einsum("cd,cd->c", fem.cell_gradient(u_term),
                         fem.cell_gradient(u_term))
     q_cell = q.values[mesh.cells].mean(axis=1)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 import numpy as np
 
@@ -73,12 +72,6 @@ class InverseSpec:
         if q0.min() < self.c0 or q0.max() > self.c1:
             raise ValueError("initial coefficient violates the admissible bounds")
 
-    @cached_property
-    def _march_data(self):
-        """U^0 = P_h u0 and the load vector of f, fixed over the inversion."""
-        return (fem.l2_project(self.mesh, self.u0).values,
-                fem.load_vector(self.mesh, XH, self.f))
-
 
 @dataclass(frozen=True, eq=False)
 class IterateState:
@@ -116,7 +109,7 @@ def objective(spec: InverseSpec, q: Field):
 
 def _evaluate(spec, q):
     """Forward march at q and the objective parts (J, misfit, penalty, residual)."""
-    traj = timestep.solve_forward(spec.mesh, q, *spec._march_data, spec.alpha, spec.grid)
+    traj = timestep.solve_forward(spec.mesh, q, spec.u0, spec.f, spec.alpha, spec.grid)
     geo = fem.geometry(spec.mesh)
     r = traj.values[-1] - spec.z_delta.values
     misfit = 0.5 * float(r @ (geo.mass[XH] @ r))

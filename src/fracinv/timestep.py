@@ -143,22 +143,15 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
 
     Each step solves (tau**-alpha * M + K(q)) U^n = F + tau**-alpha *
     M (s_n U^0 - sum_{j=1..n} b_j U^{n-j}) with s_n the partial weight sum.
-    ``u0`` and ``f`` are data as :func:`fem.load_vector` takes them; an
-    X_h array is taken as U^0 itself, or as the load vector F, which is how
-    an inversion passes the data it computes once.
     """
     weights = cq_weights(alpha, grid.N)
     b, s = weights.b, weights.partial_sums
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
-    start = u0 if isinstance(u0, np.ndarray) else fem.l2_project(mesh, u0).values
-    load = f if isinstance(f, np.ndarray) else fem.load_vector(mesh, XH, f)
-    n_dofs = fem.n_dofs(mesh, XH)
-    for what, data in (("initial state", start), ("load", load)):
-        if data.shape != (n_dofs,):
-            raise ValueError(f"{what} has shape {data.shape}, expected ({n_dofs},)")
-    states = np.zeros((grid.N + 1, n_dofs))
+    load = fem.load_vector(mesh, XH, f)
+    start = fem.l2_project(mesh, u0).values
+    states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
     states[0] = start
     _march(states, b, lambda n, hist: solver.solve(
         load + scale * (mass @ (s[n] * start - hist))))
@@ -225,15 +218,6 @@ def discrete_frac_derivative(traj: Trajectory, alpha: float) -> list[Field]:
     hist -= weights.partial_sums[1:, None] * values[0]
     hist *= grid.tau ** -alpha
     return [Field(traj.mesh, traj.space, row) for row in hist]
-
-
-def terminal_frac_derivative(traj: Trajectory, alpha: float) -> Field:
-    """The quadrature derivative at t_N alone, by one direct sum."""
-    grid = traj.grid
-    weights = cq_weights(alpha, grid.N)
-    hist = weights.b[::-1] @ traj.values
-    return Field(traj.mesh, traj.space, grid.tau ** -alpha
-                 * (hist - weights.partial_sums[-1] * traj.values[0]))
 
 
 def _march(x, b, step):

@@ -361,25 +361,3 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         make_spec(mesh, z=z, q_init=Field(mesh, VH,
                                           np.full(mesh.n_vertices, 10.0)))
-
-
-def test_source_and_initial_state_are_integrated_once_per_spec(monkeypatch):
-    # the load vector and P_h u0 are fixed over an inversion: computed on
-    # first use and shared by every forward march of the loop
-    mesh = generate_interval_mesh(30)
-    rng = np.random.default_rng(24)
-    q_true = Field(mesh, VH, 1.0 + 0.2 * rng.random(mesh.n_vertices))
-    traj = timestep.solve_forward(mesh, q_true, u0, 1.0, 0.5, TimeGrid(1.0, 10))
-    z = Field(mesh, XH, traj.terminal.values
-              + 0.02 * rng.standard_normal(len(mesh.interior)))
-    spec = make_spec(mesh, gamma=1e-9, z=z, max_iters=6)
-    load_vector, loads = fem.load_vector, []
-
-    def counting_load_vector(*args):
-        loads.append(args[2])
-        return load_vector(*args)
-
-    monkeypatch.setattr(fem, "load_vector", counting_load_vector)
-    result = run_inversion(spec)
-    assert result.iterations >= 3
-    assert loads == [u0, 1.0]

@@ -19,8 +19,7 @@ from fracinv import fem, linalg, timestep
 from fracinv.fem import VH, XH, Field
 from fracinv.mesh import generate_disk_mesh, generate_interval_mesh
 from fracinv.timestep import (TimeGrid, cq_weights, discrete_frac_derivative,
-                              solve_adjoint, solve_forward, solve_sensitivity,
-                              terminal_frac_derivative)
+                              solve_adjoint, solve_forward, solve_sensitivity)
 
 LEAF = timestep._LEAF
 
@@ -370,19 +369,6 @@ class TestBlockedHistory:
             env=env, capture_output=True, text=True, check=True).stdout
         assert "scipy.fft" not in out and "numpy.fft" in out
 
-    def test_array_data_must_be_xh_vectors(self):
-        mesh = generate_interval_mesh(8)
-        q, grid = unit_coefficient(mesh), TimeGrid(1.0, 4)
-        start = fem.l2_project(mesh, u0_parabola).values
-        load = fem.load_vector(mesh, XH, 1.0)
-        traj = solve_forward(mesh, q, start, load, 0.5, grid)
-        np.testing.assert_array_equal(
-            traj.values, solve_forward(mesh, q, u0_parabola, 1.0, 0.5, grid).values)
-        with pytest.raises(ValueError, match="initial state"):
-            solve_forward(mesh, q, np.array(0.5), load, 0.5, grid)
-        with pytest.raises(ValueError, match="load"):
-            solve_forward(mesh, q, start, load[:-1], 0.5, grid)
-
 
 class TestFracDerivative:
     def test_constant_trajectory_zero(self):
@@ -432,7 +418,6 @@ class TestFracDerivative:
         for n in range(1, n_steps + 1):
             expect = grid.tau ** -0.3 * (b[n::-1] @ values[:n + 1] - s[n] * values[0])
             assert relative_gap(derivs[n - 1].values, expect) <= 1e-12
-        np.testing.assert_array_equal(terminal_frac_derivative(traj, 0.3).values, expect)
 
 
 def test_time_grid_validation():
