@@ -21,8 +21,8 @@ from .experiments import (ExperimentConfig, RunRecord, RunReport, add_noise,
                           check_positivity, compute_errors, compute_rate,
                           run_sweep, solve_truth, stability_quotient,
                           synthesize_data, transfer_terminal, verify_decay)
-from .timestep import (AdjointSolution, CQWeights, TimeGrid, Trajectory,
-                       cq_weights, discrete_frac_derivative, save_trajectory,
-                       solve_adjoint, solve_forward, solve_sensitivity)
+from .timestep import (AdjointSolution, TimeGrid, Trajectory, cq_weights,
+                       discrete_frac_derivative, save_trajectory, solve_adjoint,
+                       solve_forward, solve_sensitivity)
 
 __version__ = "0.1.0"

@@ -175,8 +175,6 @@ def _validate_physics(cfg):
         raise ConfigError(f"problem.T must be positive and finite, got {T}")
     if cfg["time"]["n_steps"] < 1:
         raise ConfigError("time.n_steps must be >= 1")
-    if cfg["mesh"]["h"] <= 0:
-        raise ConfigError("mesh.h must be positive")
     if not 0 <= cfg["inversion"]["gamma"] < math.inf:
         raise ConfigError("inversion.gamma must be nonnegative and finite")
     if not (0 < cfg["inversion"]["c0"] < cfg["inversion"]["c1"]):
@@ -203,7 +201,7 @@ def _echo_config(cfg, out_dir: Path):
             if value is None:
                 continue
             if isinstance(value, tuple):
-                value = " ".join(f"{v:g}" for v in value)
+                value = " ".join(map(repr, value))
             lines.append(f"{key} = {value}")
         lines.append("")
     (out_dir / "effective-config.cfg").write_text("\n".join(lines))

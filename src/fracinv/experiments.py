@@ -274,7 +274,7 @@ def verify_decay(problem_name: str, alpha: float, T: float, n_steps: int,
     q = fem.interpolate(mesh, VH, problem.q_true)
     grid = TimeGrid(T, n_steps)
     traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
-    derivs = timestep.discrete_frac_derivative(traj, alpha)
+    derivs = timestep.discrete_frac_derivative(traj)
     times = grid.times[1:]
     weighted = np.array([t ** (alpha / 2.0) * fem.seminorm_w1inf(dn)
                          for t, dn in zip(times, derivs)])
@@ -298,7 +298,7 @@ def check_positivity(problem_name: str, alpha: float, T: float, n_steps: int,
     grid = TimeGrid(T, n_steps)
     traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
     u_term = traj.terminal
-    d_term = timestep.discrete_frac_derivative(traj, alpha)[-1]
+    d_term = timestep.discrete_frac_derivative(traj)[-1]
     grad_sq = np.einsum("cd,cd->c", fem.cell_gradient(u_term),
                         fem.cell_gradient(u_term))
     q_cell = q.values[mesh.cells].mean(axis=1)

@@ -38,6 +38,17 @@ class StoppingRule:
     discrepancy_factor: float = 1.1
     gradient_tol: float = 1e-8
 
+    def __post_init__(self):
+        if not 0.0 < self.discrepancy_factor < math.inf:
+            raise ValueError("discrepancy factor must be positive and finite, "
+                             f"got {self.discrepancy_factor}")
+        if not 0.0 <= self.gradient_tol < math.inf:
+            raise ValueError("gradient tolerance must be nonnegative and finite, "
+                             f"got {self.gradient_tol}")
+        if self.noise_level is not None and not 0.0 <= self.noise_level < math.inf:
+            raise ValueError("noise level must be nonnegative and finite, "
+                             f"got {self.noise_level}")
+
 
 @dataclass(frozen=True, eq=False)
 class InverseSpec:
@@ -61,6 +72,8 @@ class InverseSpec:
             raise ValueError(f"bounds must satisfy 0 < c0 < c1, got ({self.c0}, {self.c1})")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.z_delta.mesh is not self.mesh or self.z_delta.space != XH:
             raise ValueError("observation must be an X_h field on the spec mesh")
         if not np.isfinite(self.z_delta.values).all():
@@ -69,7 +82,9 @@ class InverseSpec:
             object.__setattr__(self, "q_init",
                                Field(self.mesh, VH, np.ones(self.mesh.n_vertices)))
         q0 = self.q_init.values
-        if q0.min() < self.c0 or q0.max() > self.c1:
+        if not np.isfinite(q0).all():
+            raise ValueError("initial coefficient has non-finite entries")
+        if not ((q0 >= self.c0) & (q0 <= self.c1)).all():
             raise ValueError("initial coefficient violates the admissible bounds")
 
 
@@ -82,8 +97,6 @@ class IterateState:
     J: float
     misfit: float
     penalty: float
-    g: Field
-    d: Field
     step: float
     grad_norm: float
 
@@ -125,8 +138,7 @@ def gradient(spec: InverseSpec, q: Field) -> Field:
 
 
 def _raw_gradient(spec, q, traj, residual):
-    adj = timestep.solve_adjoint(traj, spec.alpha, spec.grid,
-                                 Field(spec.mesh, XH, residual))
+    adj = timestep.solve_adjoint(traj, spec.grid, Field(spec.mesh, XH, residual))
     reg = spec.gamma * (fem.geometry(spec.mesh).stiffness @ q.values)
     return Field(spec.mesh, VH, adj.misfit_gradient.values + reg)
 
@@ -160,12 +172,10 @@ def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None,
 
 def step_size(spec: InverseSpec, q: Field, d: Field,
               forward: timestep.Trajectory) -> float:
-    """Exact minimizer of the objective under the linearized forward map."""
-    return _model_step(spec, q, d, forward)
-
-
-def _model_step(spec, q, d, forward, cap_at_discrepancy=False):
-    sens = timestep.solve_sensitivity(forward, d, spec.alpha, spec.grid)
+    """Exact minimizer of the objective under the linearized forward map;
+    with a known noise level, a positive step is capped so the linearized
+    residual lands on, rather than crosses, the discrepancy sphere."""
+    sens = timestep.solve_sensitivity(forward, d, spec.grid)
     geo = fem.geometry(spec.mesh)
     mass_x = geo.mass[XH]
     w_term = sens.values[-1]
@@ -179,8 +189,7 @@ def _model_step(spec, q, d, forward, cap_at_discrepancy=False):
         raise DegenerateDirectionError(
             "search direction lies in the null space of the linearized model")
     s = numer / denom
-    if (cap_at_discrepancy and spec.stop.noise_level is not None
-            and s > 0.0 and ww > 0.0):
+    if spec.stop.noise_level is not None and s > 0.0 and ww > 0.0:
         # do not step through the discrepancy sphere: if the linearized
         # residual at s would undershoot the stopping target, land on it
         rr = float(r @ (mass_x @ r))
@@ -202,9 +211,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
     which case the best iterate so far is returned with converged=False).
     If a model step fails to decrease the objective, the step is halved up
     to MAX_BACKTRACKS times and the conjugate recursion restarts from
-    steepest descent.  When the noise level is known, model steps are also
-    capped so the predicted residual lands on, rather than crosses, the
-    discrepancy sphere.
+    steepest descent.  Model steps come from :func:`step_size`.
     """
     mesh = spec.mesh
     mass_full = fem.geometry(mesh).mass[VH]
@@ -234,7 +241,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
         accepted = None
         for direction in (d, g) if d is not g else (d,):
             try:
-                s = _model_step(spec, q, direction, traj, cap_at_discrepancy=True)
+                s = step_size(spec, q, direction, traj)
             except DegenerateDirectionError:
                 continue
             for _ in range(MAX_BACKTRACKS + 1):
@@ -255,8 +262,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
         q_new, traj, (J, misfit, penalty, residual), d_used, s_used = accepted
         stalled = np.array_equal(q_new.values, q.values)
         q = q_new
-        history.append(IterateState(k, q, J, misfit, penalty, g, d_used, s_used,
-                                    grad_norm))
+        history.append(IterateState(k, q, J, misfit, penalty, s_used, grad_norm))
         if stalled:
             reason = "stalled"
             break

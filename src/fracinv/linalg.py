@@ -16,26 +16,25 @@ from .errors import NotSpdError
 
 
 class SpdSolver:
-    """Reusable sparse LU factorization of a symmetric positive definite matrix."""
+    """Reusable sparse LU factor of a symmetric positive definite CSC matrix."""
 
     def __init__(self, matrix):
-        self.matrix = matrix.tocsr()
         try:
-            self._lu = spla.splu(self.matrix.tocsc())
+            self._lu = spla.splu(matrix)
         except RuntimeError as exc:  # singular factor / zero pivot
             raise NotSpdError(f"factorization broke down: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.matrix.shape[0],):
+        if b.shape != (self._lu.shape[0],):
             raise ValueError(f"right-hand side has shape {b.shape}, "
-                             f"matrix is {self.matrix.shape}")
+                             f"matrix is {self._lu.shape}")
         return self._lu.solve(b)
 
 
 def factorize(matrix) -> SpdSolver:
     """Validate symmetry and positivity necessities, then build a solver handle."""
-    matrix = matrix.tocsr()
+    matrix = matrix.tocsc()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(matrix.data).max() if matrix.nnz else 0.0

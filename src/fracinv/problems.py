@@ -7,6 +7,7 @@ terminal-time positivity weight is strictly positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,15 @@ def problem_mesh(problem: Problem, h: float) -> Mesh:
     """Mesh of the problem's domain with target size h.
 
     In 1D the size is rounded to the nearest uniform partition of (0, 1).
+    A size that is not positive and finite, or that leaves no interior
+    vertex (an empty X_h), raises ValueError.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
     if problem.dim == 1:
-        return generate_interval_mesh(max(1, round(1.0 / h)))
-    return generate_disk_mesh(h)
+        mesh = generate_interval_mesh(max(1, round(1.0 / h)))
+    else:
+        mesh = generate_disk_mesh(h)
+    if mesh.boundary.all():
+        raise ValueError(f"mesh size h={h} leaves the mesh without an interior vertex")
+    return mesh

@@ -60,20 +60,8 @@ class TimeGrid:
         return self.tau * np.arange(self.N + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class CQWeights:
-    """Convolution quadrature weights b_0..b_N for a given order."""
-
-    alpha: float
-    b: np.ndarray
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.b)
-
-
-def cq_weights(alpha: float, N: int) -> CQWeights:
-    """Weights of (1 - z)**alpha via the stable ratio recurrence.
+def cq_weights(alpha: float, N: int) -> np.ndarray:
+    """Weights b_0..b_N of (1 - z)**alpha via the stable ratio recurrence.
 
     b_0 = 1 and b_j = b_{j-1} (j - 1 - alpha) / j; every factor has
     magnitude below one, so the recurrence loses no accuracy even for
@@ -88,36 +76,33 @@ def cq_weights(alpha: float, N: int) -> CQWeights:
     if N > 0:
         j = np.arange(1, N + 1, dtype=float)
         b[1:] = np.cumprod((j - 1.0 - alpha) / j)
-    return CQWeights(alpha, b)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States U^0..U^N of one march, stored as an (N+1, n_dofs) array.
+    """X_h states U^0..U^N of one march of order alpha, stored as an
+    (N+1, n_dofs) array.
 
-    A forward march also carries its factorized system tau**-alpha M + K(q)
-    and its order alpha, which the sensitivity and adjoint marches along
-    that trajectory reuse.
+    A forward march also carries its factorized system tau**-alpha M + K(q),
+    which the sensitivity and adjoint marches along that trajectory reuse
+    together with its order.
     """
 
     mesh: Mesh
-    space: str
     grid: TimeGrid
     values: np.ndarray
-    alpha: float | None = None
+    alpha: float
     solver: linalg.SpdSolver | None = None
 
     def __post_init__(self):
-        expect = (self.grid.N + 1, fem.n_dofs(self.mesh, self.space))
+        expect = (self.grid.N + 1, fem.n_dofs(self.mesh, XH))
         if self.values.shape != expect:
             raise ValueError(f"state array has shape {self.values.shape}, "
                              f"expected {expect}")
 
-    def __len__(self) -> int:
-        return self.grid.N + 1
-
     def field(self, n: int) -> Field:
-        return Field(self.mesh, self.space, self.values[n])
+        return Field(self.mesh, XH, self.values[n])
 
     @property
     def terminal(self) -> Field:
@@ -144,8 +129,8 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
     Each step solves (tau**-alpha * M + K(q)) U^n = F + tau**-alpha *
     M (s_n U^0 - sum_{j=1..n} b_j U^{n-j}) with s_n the partial weight sum.
     """
-    weights = cq_weights(alpha, grid.N)
-    b, s = weights.b, weights.partial_sums
+    b = cq_weights(alpha, grid.N)
+    s = np.cumsum(b)
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
@@ -155,21 +140,20 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
     states[0] = start
     _march(states, b, lambda n, hist: solver.solve(
         load + scale * (mass @ (s[n] * start - hist))))
-    return Trajectory(mesh, XH, grid, states, alpha, solver)
+    return Trajectory(mesh, grid, states, alpha, solver)
 
 
-def solve_sensitivity(forward: Trajectory, d: Field, alpha: float,
-                      grid: TimeGrid) -> Trajectory:
+def solve_sensitivity(forward: Trajectory, d: Field, grid: TimeGrid) -> Trajectory:
     """Derivative of the discrete forward map along the coefficient direction d.
 
     W^0 = 0 and each step carries the load -(d grad U^n, grad phi_i) plus
     the quadrature history of W; the map is linear in d.
     """
-    solver = _forward_system(forward, alpha, grid)
-    mesh = forward.mesh
+    solver = _forward_system(forward, grid)
+    mesh, alpha = forward.mesh, forward.alpha
     if d.mesh is not mesh or d.space != fem.VH:
         raise ValueError("direction must be a V_h field on the forward mesh")
-    b = cq_weights(alpha, grid.N).b
+    b = cq_weights(alpha, grid.N)
     mass = fem.geometry(mesh).mass[XH]
     stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
     scale = grid.tau ** -alpha
@@ -177,10 +161,10 @@ def solve_sensitivity(forward: Trajectory, d: Field, alpha: float,
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
     _march(states, b, lambda n, hist: solver.solve(
         -(stiff_d @ u[n]) - scale * (mass @ hist)))
-    return Trajectory(mesh, XH, grid, states)
+    return Trajectory(mesh, grid, states, alpha)
 
 
-def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
+def solve_adjoint(forward: Trajectory, grid: TimeGrid,
                   terminal_residual: Field) -> AdjointSolution:
     """Transpose of the sensitivity map applied to the terminal residual.
 
@@ -189,11 +173,11 @@ def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
     march on the time-reversed states.  The misfit-gradient dual vector
     pairs grad U^n with grad V^n, summed over the steps.
     """
-    solver = _forward_system(forward, alpha, grid)
-    mesh = forward.mesh
+    solver = _forward_system(forward, grid)
+    mesh, alpha = forward.mesh, forward.alpha
     if terminal_residual.mesh is not mesh or terminal_residual.space != XH:
         raise ValueError("terminal residual must be an X_h field on the forward mesh")
-    b = cq_weights(alpha, grid.N).b
+    b = cq_weights(alpha, grid.N)
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
@@ -202,22 +186,22 @@ def solve_adjoint(forward: Trajectory, alpha: float, grid: TimeGrid,
     _march(states[:0:-1], b, lambda n, hist: solver.solve(-scale * (mass @ hist)))
     pair = _gradient_pairing(mesh, forward.values[1:], states[1:])
     dual = Field(mesh, fem.VH, -fem.cell_average_load(mesh, pair))
-    return AdjointSolution(Trajectory(mesh, XH, grid, states), dual)
+    return AdjointSolution(Trajectory(mesh, grid, states, alpha), dual)
 
 
-def discrete_frac_derivative(traj: Trajectory, alpha: float) -> list[Field]:
-    """The quadrature derivative applied to a trajectory, for n = 1..N.
+def discrete_frac_derivative(traj: Trajectory) -> list[Field]:
+    """The quadrature derivative of the trajectory's order applied to it,
+    for n = 1..N.
 
     All N histories come from one FFT convolution over the stored states.
     """
-    grid = traj.grid
-    weights = cq_weights(alpha, grid.N)
-    values = traj.values
+    grid, values = traj.grid, traj.values
+    b = cq_weights(traj.alpha, grid.N)
     hist = np.zeros((grid.N, values.shape[1]))
-    _convolve(values, weights.b, 2 * grid.N, 1, hist)
-    hist -= weights.partial_sums[1:, None] * values[0]
-    hist *= grid.tau ** -alpha
-    return [Field(traj.mesh, traj.space, row) for row in hist]
+    _convolve(values, b, 2 * grid.N, 1, hist)
+    hist -= np.cumsum(b)[1:, None] * values[0]
+    hist *= grid.tau ** -traj.alpha
+    return [Field(traj.mesh, XH, row) for row in hist]
 
 
 def _march(x, b, step):
@@ -294,16 +278,14 @@ def _gradient_pairing(mesh, u, v):
     return pair
 
 
-def _forward_system(forward: Trajectory, alpha: float, grid: TimeGrid):
+def _forward_system(forward: Trajectory, grid: TimeGrid):
     """The factorized system a forward trajectory carries, checked against
-    the order and grid of the march that is to reuse it."""
+    the grid of the march that is to reuse it."""
     if forward.grid != grid:
         raise ValueError(f"trajectory grid {forward.grid} does not match {grid}")
     if forward.solver is None:
         raise ValueError("trajectory carries no factorized system; "
                          "march it with solve_forward")
-    if forward.alpha != alpha:
-        raise ValueError(f"trajectory order alpha={forward.alpha} does not match {alpha}")
     return forward.solver
 
 

@@ -107,6 +107,23 @@ def test_invert_negative_gamma_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("inversion.discrepancy_factor=nan", "discrepancy factor"),
+    ("inversion.max_iters=-1", "max_iters"),
+    ("inversion.q_init=nan", "initial coefficient")])
+def test_invert_bad_inversion_input_exits_2(tmp_path, capsys, setting, message):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["invert", cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["inf", "0.9"])
+def test_invert_mesh_without_interior_vertex_exits_2(tmp_path, capsys, h):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["invert", cfg_path, "--set", f"mesh.h={h}"]) == EXIT_CONFIG
+    assert "mesh" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("T", ["nan", "inf"])
 def test_forward_non_finite_T_exits_2(tmp_path, capsys, T):
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
@@ -198,12 +215,17 @@ directory = {tmp_path}/ver
 
 
 def test_effective_config_reproduces_run(tmp_path):
-    # flags round-trip: rerunning from the echoed config gives the same field
+    # flags round-trip: rerunning from the echoed config gives the same field,
+    # and the echoed file resolves to the same config, float lists exactly
     out1 = tmp_path / "a"
-    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {out1}\n")
-    assert main(["forward", cfg_path, "--set", "time.n_steps=9"]) == EXIT_OK
-    echoed = out1 / "effective-config.cfg"
-    text = echoed.read_text().replace(str(out1), str(tmp_path / "b"))
+    base = BASE + f"\n[output]\ndirectory = {out1}\n"
+    cfg_path = write_cfg(tmp_path, base)
+    flags = ["time.n_steps=9", "sweep.alphas=0.123456789 0.5"]
+    assert main(["forward", cfg_path, "--set", flags[0], "--set", flags[1]]) == EXIT_OK
+    echoed = (out1 / "effective-config.cfg").read_text()
+    assert (resolve_config(parse_config_text(echoed), [])
+            == resolve_config(parse_config_text(base), flags))
+    text = echoed.replace(str(out1), str(tmp_path / "b"))
     cfg2 = write_cfg(tmp_path, text)
     assert main(["forward", cfg2]) == EXIT_OK
     f1 = (out1 / "u_terminal.field").read_text()

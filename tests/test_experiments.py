@@ -188,7 +188,7 @@ def test_verify_decay_alpha_one_decreasing():
     grid = TimeGrid(2.0, 100)
     traj = timestep.solve_forward(mesh, q, lambda x: np.sin(np.pi * x), 0.0,
                                   1.0, grid)
-    derivs = timestep.discrete_frac_derivative(traj, 1.0)
+    derivs = timestep.discrete_frac_derivative(traj)
     times = grid.times[1:]
     weighted = [t ** 0.5 * fem.seminorm_w1inf(d) for t, d in zip(times, derivs)]
     window = [w for t, w in zip(times, weighted) if 1.0 <= t <= 2.0]
@@ -207,7 +207,7 @@ def test_verify_decay_stationary_state():
     grid = TimeGrid(1.0, 20)
     traj = timestep.solve_forward(
         mesh, q, Field(mesh, XH, u_steady), 1.0, 0.5, grid)
-    for d in timestep.discrete_frac_derivative(traj, 0.5):
+    for d in timestep.discrete_frac_derivative(traj):
         assert fem.norm_l2(d) <= 1e-9
 
 

@@ -361,3 +361,16 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         make_spec(mesh, z=z, q_init=Field(mesh, VH,
                                           np.full(mesh.n_vertices, 10.0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_spec(mesh, z=z, q_init=Field(mesh, VH, np.full(mesh.n_vertices, bad)))
+    with pytest.raises(ValueError, match="max_iters"):
+        make_spec(mesh, z=z, max_iters=-1)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="discrepancy factor"):
+            StoppingRule(discrepancy_factor=bad)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="gradient tolerance"):
+            StoppingRule(gradient_tol=bad)
+        with pytest.raises(ValueError, match="noise level"):
+            StoppingRule(noise_level=bad)

@@ -40,11 +40,11 @@ def u0_parabola(x):
 class TestCqWeights:
     def test_alpha_one_is_first_difference(self):
         w = cq_weights(1.0, 3)
-        np.testing.assert_array_equal(w.b, [1.0, -1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(w, [1.0, -1.0, 0.0, 0.0])
 
     def test_half_order_closed_form(self):
         w = cq_weights(0.5, 3)
-        np.testing.assert_allclose(w.b, [1.0, -0.5, -0.125, -0.0625], rtol=1e-15)
+        np.testing.assert_allclose(w, [1.0, -0.5, -0.125, -0.0625], rtol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_recurrence_matches_binomial(self, alpha):
@@ -52,21 +52,21 @@ class TestCqWeights:
         w = cq_weights(alpha, n)
         j = np.arange(n + 1)
         closed = (-1.0) ** j * binom(alpha, j)
-        np.testing.assert_allclose(w.b, closed, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(w, closed, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_signs_and_partial_sums(self, alpha):
         w = cq_weights(alpha, 200)
-        assert w.b[0] == 1.0
-        assert (w.b[1:] < 0.0).all()
-        s = w.partial_sums
+        assert w[0] == 1.0
+        assert (w[1:] < 0.0).all()
+        s = np.cumsum(w)
         assert (s > 0.0).all()
         assert (np.diff(s) < 0.0).all()
 
     def test_partial_sums_decay(self):
-        s2 = cq_weights(0.5, 2).partial_sums[-1]
-        s20 = cq_weights(0.5, 20).partial_sums[-1]
-        s200 = cq_weights(0.5, 200).partial_sums[-1]
+        s2 = np.cumsum(cq_weights(0.5, 2))[-1]
+        s20 = np.cumsum(cq_weights(0.5, 20))[-1]
+        s200 = np.cumsum(cq_weights(0.5, 200))[-1]
         assert s200 < s20 < s2
 
     def test_rejects_bad_alpha(self):
@@ -165,21 +165,21 @@ class TestSensitivity:
 
     def test_zero_direction(self):
         d = fem.zero_field(self.mesh, VH)
-        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.grid)
         assert np.abs(sens.values).max() == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         d = Field(self.mesh, VH, rng.standard_normal(self.mesh.n_vertices))
-        w1 = solve_sensitivity(self.traj, d, self.alpha, self.grid)
+        w1 = solve_sensitivity(self.traj, d, self.grid)
         d2 = Field(self.mesh, VH, 2.0 * d.values)
-        w2 = solve_sensitivity(self.traj, d2, self.alpha, self.grid)
+        w2 = solve_sensitivity(self.traj, d2, self.grid)
         np.testing.assert_allclose(w2.values, 2.0 * w1.values, atol=1e-12)
 
     def test_central_difference_oracle(self):
         rng = np.random.default_rng(6)
         d = Field(self.mesh, VH, rng.standard_normal(self.mesh.n_vertices))
-        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.grid)
         errs = []
         for eps in (1e-3, 1e-4):
             qp = Field(self.mesh, VH, self.q.values + eps * d.values)
@@ -195,7 +195,7 @@ class TestSensitivity:
     def test_grid_mismatch_rejected(self):
         d = fem.zero_field(self.mesh, VH)
         with pytest.raises(ValueError):
-            solve_sensitivity(self.traj, d, self.alpha, TimeGrid(1.0, 13))
+            solve_sensitivity(self.traj, d, TimeGrid(1.0, 13))
 
 
 class TestAdjoint:
@@ -210,8 +210,7 @@ class TestAdjoint:
         self.rng = rng
 
     def test_zero_residual(self):
-        adj = solve_adjoint(self.traj, self.alpha, self.grid,
-                            fem.zero_field(self.mesh, XH))
+        adj = solve_adjoint(self.traj, self.grid, fem.zero_field(self.mesh, XH))
         assert np.abs(adj.states.values).max() == 0.0
         assert np.abs(adj.misfit_gradient.values).max() == 0.0
 
@@ -231,11 +230,11 @@ class TestAdjoint:
         u0 = lambda *x: 1.0 - sum(c * c for c in x)
         traj = solve_forward(mesh, q, u0, 1.0, alpha, grid)
         r = Field(mesh, XH, rng.standard_normal(len(mesh.interior)))
-        adj = solve_adjoint(traj, alpha, grid, r)
+        adj = solve_adjoint(traj, grid, r)
         mass = fem.assemble_mass(mesh, XH)
         for _ in range(3):
             d = Field(mesh, VH, rng.standard_normal(mesh.n_vertices))
-            sens = solve_sensitivity(traj, d, alpha, grid)
+            sens = solve_sensitivity(traj, d, grid)
             lhs = float(r.values @ (mass @ sens.terminal.values))
             rhs = float(adj.misfit_gradient.values @ d.values)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
@@ -243,20 +242,16 @@ class TestAdjoint:
     def test_reused_factor_must_match_the_march(self):
         r = fem.zero_field(self.mesh, XH)
         d = fem.zero_field(self.mesh, VH)
-        with pytest.raises(ValueError, match="alpha"):
-            solve_adjoint(self.traj, 0.5, self.grid, r)
-        with pytest.raises(ValueError, match="alpha"):
-            solve_sensitivity(self.traj, d, 0.5, self.grid)
-        sens = solve_sensitivity(self.traj, d, self.alpha, self.grid)
+        sens = solve_sensitivity(self.traj, d, self.grid)
         with pytest.raises(ValueError, match="factorized system"):
-            solve_adjoint(sens, self.alpha, self.grid, r)
+            solve_adjoint(sens, self.grid, r)
 
     def test_alpha_one_matches_classical_adjoint(self):
         # independent oracle: backward-in-time parabolic adjoint recursion
         grid = TimeGrid(0.8, 12)
         traj = solve_forward(self.mesh, self.q, u0_parabola, 1.0, 1.0, grid)
         r = Field(self.mesh, XH, self.rng.standard_normal(len(self.mesh.interior)))
-        adj = solve_adjoint(traj, 1.0, grid, r)
+        adj = solve_adjoint(traj, grid, r)
 
         mass = fem.assemble_mass(self.mesh, XH)
         stiff = fem.assemble_stiffness(self.mesh, XH, self.q)
@@ -273,7 +268,7 @@ def direct_marches(forward, d, r, alpha, grid):
     vector, by the direct history sum and a per-step gradient pairing, on
     the forward trajectory's own factorized system."""
     mesh, n_steps = forward.mesh, grid.N
-    b = cq_weights(alpha, n_steps).b
+    b = cq_weights(alpha, n_steps)
     s = np.cumsum(b)
     mass = fem.assemble_mass(mesh, XH)
     stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
@@ -312,8 +307,8 @@ class TestBlockedHistory:
         grid = TimeGrid(1.0, n_steps)
         traj = solve_forward(mesh, q, lambda *x: 1.0 - sum(c * c for c in x), 1.0,
                              alpha, grid)
-        sens = solve_sensitivity(traj, d, alpha, grid)
-        adj = solve_adjoint(traj, alpha, grid, r)
+        sens = solve_sensitivity(traj, d, grid)
+        adj = solve_adjoint(traj, grid, r)
         u, w, v, dual = direct_marches(traj, d, r, alpha, grid)
         assert relative_gap(traj.values, u) <= 1e-12
         assert relative_gap(sens.values, w) <= 1e-12
@@ -376,8 +371,8 @@ class TestFracDerivative:
         grid = TimeGrid(1.0, 6)
         u0 = fem.l2_project(mesh, u0_parabola)
         values = np.tile(u0.values, (grid.N + 1, 1))
-        traj = timestep.Trajectory(mesh, XH, grid, values)
-        for d in discrete_frac_derivative(traj, 0.5):
+        traj = timestep.Trajectory(mesh, grid, values, 0.5)
+        for d in discrete_frac_derivative(traj):
             assert np.abs(d.values).max() <= 1e-14
 
     def test_alpha_one_is_backward_difference(self):
@@ -385,7 +380,7 @@ class TestFracDerivative:
         grid = TimeGrid(1.0, 8)
         traj = solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0,
                              1.0, grid)
-        derivs = discrete_frac_derivative(traj, 1.0)
+        derivs = discrete_frac_derivative(traj)
         for n in range(1, grid.N + 1):
             expect = (traj.values[n] - traj.values[n - 1]) / grid.tau
             np.testing.assert_allclose(derivs[n - 1].values, expect, atol=1e-10)
@@ -400,7 +395,7 @@ class TestFracDerivative:
         mass = fem.assemble_mass(mesh, XH)
         stiff = fem.assemble_stiffness(mesh, XH, q)
         load = fem.load_vector(mesh, XH, 1.0)
-        derivs = discrete_frac_derivative(traj, alpha)
+        derivs = discrete_frac_derivative(traj)
         for n in range(1, grid.N + 1):
             res = mass @ derivs[n - 1].values + stiff @ traj.values[n] - load
             assert np.abs(res).max() <= 1e-10 * np.abs(load).max()
@@ -411,10 +406,10 @@ class TestFracDerivative:
         grid = TimeGrid(1.0, n_steps)
         values = np.random.default_rng(n_steps).standard_normal(
             (n_steps + 1, len(mesh.interior)))
-        traj = timestep.Trajectory(mesh, XH, grid, values)
-        weights = cq_weights(0.3, n_steps)
-        b, s = weights.b, weights.partial_sums
-        derivs = discrete_frac_derivative(traj, 0.3)
+        traj = timestep.Trajectory(mesh, grid, values, 0.3)
+        b = cq_weights(0.3, n_steps)
+        s = np.cumsum(b)
+        derivs = discrete_frac_derivative(traj)
         for n in range(1, n_steps + 1):
             expect = grid.tau ** -0.3 * (b[n::-1] @ values[:n + 1] - s[n] * values[0])
             assert relative_gap(derivs[n - 1].values, expect) <= 1e-12
