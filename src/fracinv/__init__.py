@@ -9,18 +9,18 @@ from .errors import (DegenerateDirectionError, FracinvError,
 from .fem import (VH, XH, Field, assemble_mass, assemble_stiffness,
                   evaluate_at_points, interpolate, l2_project, load_field,
                   load_vector, norm_l2, norm_linf, save_field, seminorm_h1,
-                  seminorm_w1inf, zero_field)
+                  seminorm_w1inf)
 from .inverse import (InverseSpec, InversionResult, IterateState, StoppingRule,
                       cg_direction, gradient, objective, project_admissible,
                       run_inversion, smooth_direction, step_size)
 from .linalg import SpdSolver, factorize
 from .mesh import (Mesh, generate_disk_mesh, generate_interval_mesh, load_mesh,
-                   refine_uniform, save_mesh)
+                   save_mesh)
 from .problems import PROBLEMS, Problem, get_problem, problem_mesh
 from .experiments import (ExperimentConfig, RunRecord, RunReport, add_noise,
                           check_positivity, compute_errors, compute_rate,
                           run_sweep, solve_truth, stability_quotient,
-                          synthesize_data, transfer_terminal, verify_decay)
+                          transfer_terminal, verify_decay)
 from .timestep import (AdjointSolution, TimeGrid, Trajectory, cq_weights,
                        discrete_frac_derivative, save_trajectory, solve_adjoint,
                        solve_forward, solve_sensitivity)

@@ -30,7 +30,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
-# section -> key -> (type, default); None default means required
+# section -> key -> (type, default); None default means required.  Defaults
+# the library types hold are read from them.
 _FLOAT_LIST = "float_list"
 SCHEMA = {
     "problem": {
@@ -42,25 +43,25 @@ SCHEMA = {
         "f": (str, "problem"),   # 'problem' or a constant value
     },
     "mesh": {
-        "h": (float, 1.0 / 113.0),
+        "h": (float, experiments.ExperimentConfig.h),
     },
     "time": {
-        "n_steps": (int, 30),
+        "n_steps": (int, experiments.ExperimentConfig.n_steps),
     },
     "data": {
         "file": (str, ""),
         "epsilon": (float, 1e-2),
-        "seed": (int, 0),
-        "h_ref": (float, 1.0 / 1600.0),
-        "n_steps_ref": (int, 1280),
+        "seed": (int, experiments.ExperimentConfig.seed),
+        "h_ref": (float, experiments.ExperimentConfig.h_ref),
+        "n_steps_ref": (int, experiments.ExperimentConfig.n_steps_ref),
     },
     "inversion": {
         "gamma": (float, 1e-8),
-        "c0": (float, 0.5),
-        "c1": (float, 5.0),
-        "max_iters": (int, 200),
-        "discrepancy_factor": (float, 1.1),
-        "gradient_tol": (float, 1e-8),
+        "c0": (float, inverse.InverseSpec.c0),
+        "c1": (float, inverse.InverseSpec.c1),
+        "max_iters": (int, inverse.InverseSpec.max_iters),
+        "discrepancy_factor": (float, inverse.StoppingRule.discrepancy_factor),
+        "gradient_tol": (float, inverse.StoppingRule.gradient_tol),
         "q_init": (float, 1.0),
     },
     "gradcheck": {
@@ -73,7 +74,7 @@ SCHEMA = {
         "T_values": (_FLOAT_LIST, ()),  # empty -> problem default
         "noise_levels": (_FLOAT_LIST, (1e-2, 5e-3, 2.5e-3, 1e-3)),
         "gammas": (_FLOAT_LIST, ()),    # empty -> c_gamma rule
-        "c_gamma": (float, 4e-4),
+        "c_gamma": (float, experiments.ExperimentConfig.c_gamma),
     },
     "verify": {
         "checks": (str, "decay positivity stability"),
@@ -253,10 +254,13 @@ def cmd_forward(cfg) -> int:
 
 
 def _observation(cfg, problem, mesh):
-    """Observation field for inversion: from file, or synthesized on ``mesh``."""
+    """Observation field and noise level for inversion: from file (no noise
+    level), or synthesized on ``mesh``."""
     if cfg["data"]["file"]:
-        z = fem.load_field(cfg["data"]["file"], mesh)
-        return z, None, None
+        try:
+            return fem.load_field(cfg["data"]["file"], mesh), None
+        except OSError as exc:
+            raise ConfigError(f"data.file: {exc}") from None
     fine = problem_mesh(problem, cfg["data"]["h_ref"])
     u_fine = experiments.solve_truth(problem, fine, cfg["problem"]["alpha"],
                                      cfg["problem"]["T"],
@@ -264,7 +268,7 @@ def _observation(cfg, problem, mesh):
     u_ref = experiments.transfer_terminal(u_fine, mesh)
     z, delta = experiments.add_noise(u_ref, fem.norm_linf(u_fine),
                                      cfg["data"]["epsilon"], cfg["data"]["seed"])
-    return z, delta, u_ref
+    return z, delta
 
 
 def _inverse_spec(cfg, problem, mesh, z, delta):
@@ -285,7 +289,7 @@ def cmd_invert(cfg) -> int:
     _validate_physics(cfg)
     problem = get_problem(cfg["problem"]["name"])
     mesh = problem_mesh(problem, cfg["mesh"]["h"])
-    z, delta, u_ref = _observation(cfg, problem, mesh)
+    z, delta = _observation(cfg, problem, mesh)
     spec = _inverse_spec(cfg, problem, mesh, z, delta)
     result = inverse.run_inversion(spec)
     out = _out_dir(cfg)
@@ -308,16 +312,24 @@ def cmd_invert(cfg) -> int:
 
 def cmd_gradcheck(cfg) -> int:
     _validate_physics(cfg)
+    check = cfg["gradcheck"]
+    step, tol = check["fd_step"], check["tolerance"]
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"gradcheck.fd_step must be positive and finite, got {step}")
+    if check["n_directions"] < 1:
+        raise ConfigError(
+            f"gradcheck.n_directions must be >= 1, got {check['n_directions']}")
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"gradcheck.tolerance must be nonnegative and finite, got {tol}")
     problem = get_problem(cfg["problem"]["name"])
     mesh = problem_mesh(problem, cfg["mesh"]["h"])
-    z, delta, u_ref = _observation(cfg, problem, mesh)
+    z, delta = _observation(cfg, problem, mesh)
     spec = _inverse_spec(cfg, problem, mesh, z, delta)
     q = spec.q_init
     g = inverse.gradient(spec, q)
     rng = np.random.default_rng(cfg["data"]["seed"] + 1)
-    step = cfg["gradcheck"]["fd_step"]
     worst = 0.0
-    for _ in range(cfg["gradcheck"]["n_directions"]):
+    for _ in range(check["n_directions"]):
         d = _smooth_direction_sample(mesh, rng)
         qp = Field(mesh, VH, q.values + step * d)
         qm = Field(mesh, VH, q.values - step * d)
@@ -325,7 +337,6 @@ def cmd_gradcheck(cfg) -> int:
         adj = float(g.values @ d)
         rel = abs(fd - adj) / max(abs(fd), 1e-300)
         worst = max(worst, rel)
-    tol = cfg["gradcheck"]["tolerance"]
     print(f"gradcheck: max relative mismatch {worst:.3e} (tolerance {tol:.1e})")
     return EXIT_OK if worst <= tol else EXIT_CHECK
 
@@ -374,6 +385,10 @@ def cmd_verify(cfg) -> int:
     _validate_physics(cfg)
     ver = cfg["verify"]
     checks = ver["checks"].split()
+    known = ("decay", "positivity", "stability")
+    if not checks or not set(checks) <= set(known):
+        raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
+                          f"got {ver['checks']!r}")
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     name = cfg["problem"]["name"]

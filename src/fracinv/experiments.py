@@ -55,14 +55,34 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.h_ref >= self.h:
-            raise ValueError("reference mesh must be finer than the coarse mesh")
+        # reject bad input before any solve, through the library type's own
+        # check wherever one exists
+        get_problem(self.problem)
+        if not 0.0 < self.h_ref < self.h < math.inf:
+            raise ValueError("mesh sizes must satisfy 0 < h_ref < h < inf, "
+                             f"got h_ref={self.h_ref}, h={self.h}")
         if self.n_steps_ref <= self.n_steps:
             raise ValueError("reference step count must exceed the coarse one")
-        if any(eps < 0 for eps in self.noise_levels):
-            raise ValueError("noise levels must be nonnegative")
+        for T in self.T_values:
+            TimeGrid(T, self.n_steps)
+        for alpha in self.alphas:
+            timestep.cq_weights(alpha, 0)
+        if not all(0.0 <= eps < math.inf for eps in self.noise_levels):
+            raise ValueError("noise levels must be nonnegative and finite, "
+                             f"got {self.noise_levels}")
         if self.gammas is not None and len(self.gammas) != len(self.noise_levels):
             raise ValueError("explicit gammas must match the noise levels one-to-one")
+        gammas = [self.gamma_for(i) for i in range(len(self.noise_levels))]
+        if not all(0.0 <= gamma < math.inf for gamma in gammas):
+            raise ValueError("regularization parameters must be nonnegative and "
+                             f"finite, got {gammas}")
+        c0, c1 = self.bounds
+        if not 0.0 < c0 < c1:
+            raise ValueError(f"bounds must satisfy 0 < c0 < c1, got {self.bounds}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        StoppingRule(discrepancy_factor=self.discrepancy_factor)
+        np.random.SeedSequence(self.seed)
 
     def gamma_for(self, i: int) -> float:
         if self.gammas is not None:
@@ -151,19 +171,6 @@ def add_noise(u_coarse: Field, linf_ref: float, eps: float, seed: int):
     mass = fem.geometry(u_coarse.mesh).mass[XH]
     delta = math.sqrt(max(float(noise @ (mass @ noise)), 0.0))
     return Field(u_coarse.mesh, XH, u_coarse.values + noise), delta
-
-
-def synthesize_data(config: ExperimentConfig, alpha: float, T: float,
-                    eps: float, seed: int):
-    """Fine-grid truth, coarse transfer and seeded noise in one call.
-
-    Returns (z_delta, delta, u_ref_T) on the coarse mesh.
-    """
-    problem, coarse, fine = make_meshes(config)
-    u_fine = solve_truth(problem, fine, alpha, T, config.n_steps_ref)
-    u_ref = transfer_terminal(u_fine, coarse)
-    z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed)
-    return z, delta, u_ref
 
 
 def compute_errors(q_star: Field, q_dag_ref: Field, u_terminal: Field,
@@ -318,6 +325,8 @@ def stability_quotient(problem_name: str, alpha: float, T_values,
     both forward problems on the same grid for each terminal time, and
     returns {T: (quotients, max)}.  Zero perturbations are rejected.
     """
+    if n_perturbations < 1:
+        raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
     problem = get_problem(problem_name)
     mesh = problem_mesh(problem, h)
     q_true = fem.interpolate(mesh, VH, problem.q_true)

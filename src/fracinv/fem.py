@@ -68,10 +68,6 @@ def n_dofs(mesh: Mesh, space: str) -> int:
     return mesh.n_vertices if space == VH else len(geometry(mesh).interior)
 
 
-def zero_field(mesh: Mesh, space: str) -> Field:
-    return Field(mesh, space, np.zeros(n_dofs(mesh, space)))
-
-
 class Geometry:
     """The P1 data of one mesh that no coefficient changes.
 
@@ -237,20 +233,11 @@ def _eval_at(f, points):
 def load_vector(mesh: Mesh, space: str, f) -> np.ndarray:
     """Dual vector b_i = integral of f phi_i, by per-cell Gauss quadrature.
 
-    ``f`` may be a callable of the coordinates, a scalar, or a Field on
-    the same mesh (evaluated through its P1 representation, which makes
-    the quadrature exact).
+    ``f`` is a callable of the coordinates or a scalar.
     """
     lam, w = _QUAD_1D if mesh.dim == 1 else _QUAD_2D
     pts_phys = np.einsum("ql,cld->cqd", lam, mesh.vertices[mesh.cells])
-    if isinstance(f, Field):
-        if f.mesh is not mesh:
-            raise ValueError("field is on a different mesh")
-        nodal = f.extend()
-        fvals = np.einsum("ql,cl->cq", lam, nodal[mesh.cells])
-    else:
-        flat = pts_phys.reshape(-1, mesh.dim)
-        fvals = _eval_at(f, flat).reshape(pts_phys.shape[:2])
+    fvals = _eval_at(f, pts_phys.reshape(-1, mesh.dim)).reshape(pts_phys.shape[:2])
     geo = geometry(mesh)
     # contribution of cell c to its local vertex l: |c| * sum_q w_q f(x_q) lam_l(x_q)
     contrib = np.einsum("c,q,cq,ql->cl", geo.measures, w, fvals, lam)

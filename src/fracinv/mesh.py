@@ -3,9 +3,7 @@
 Meshes are immutable value objects: a vertex array, a cell connectivity
 array, per-vertex boundary flags and the mesh size h (largest cell
 diameter).  The disk is approximated by an inscribed polygon whose
-boundary vertices lie exactly on the unit circle; uniform refinement
-re-projects new boundary vertices onto the circle so the chord-to-arc
-gap stays O(h^2).
+boundary vertices lie exactly on the unit circle.
 """
 
 from __future__ import annotations
@@ -75,11 +73,6 @@ def cell_measures(mesh: Mesh) -> np.ndarray:
     return _signed_measures(mesh.dim, mesh.vertices, mesh.cells)
 
 
-def cell_diameters(mesh: Mesh) -> np.ndarray:
-    """Cell diameters (longest edge per cell)."""
-    return _diameters(mesh.dim, mesh.vertices, mesh.cells)
-
-
 def _signed_measures(dim, vertices, cells):
     if dim == 1:
         return vertices[cells[:, 1], 0] - vertices[cells[:, 0], 0]
@@ -118,13 +111,6 @@ def _derive_boundary(dim, cells, n_vertices):
     boundary = np.zeros(n_vertices, dtype=bool)
     boundary[uniq[counts == 1].ravel()] = True
     return boundary
-
-
-def boundary_edges(mesh: Mesh) -> np.ndarray:
-    """Edges incident to exactly one triangle, as sorted index pairs (2D only)."""
-    edges = np.sort(mesh.cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts == 1]
 
 
 def build_mesh(dim, vertices, cells, domain=None, rho_max=DEFAULT_RHO_MAX) -> Mesh:
@@ -211,44 +197,6 @@ def _zip_rings(inner, outer):
             cells.append((inner[i % a], outer[j % b], outer[(j + 1) % b]))
             j += 1
     return cells
-
-
-def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every cell into 2 (1D) or 4 (2D) children.
-
-    Parent vertices keep their indices, so nodal values transfer between
-    refinement levels by index.  On disk meshes, midpoints of boundary
-    edges are projected radially back onto the unit circle.
-    """
-    if mesh.dim == 1:
-        mids = 0.5 * (mesh.vertices[mesh.cells[:, 0]] + mesh.vertices[mesh.cells[:, 1]])
-        verts = np.vstack([mesh.vertices, mids])
-        mid_idx = mesh.n_vertices + np.arange(mesh.n_cells)
-        left = np.column_stack([mesh.cells[:, 0], mid_idx])
-        right = np.column_stack([mid_idx, mesh.cells[:, 1]])
-        return build_mesh(1, verts, np.vstack([left, right]), domain=mesh.domain)
-
-    edges = np.sort(mesh.cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
-    if mesh.domain == "disk":
-        bnd = boundary_edges(mesh)
-        bnd_set = set(map(tuple, bnd))
-        on_bnd = np.array([tuple(e) in bnd_set for e in uniq])
-        norms = np.linalg.norm(mids[on_bnd], axis=1)
-        mids[on_bnd] /= norms[:, None]
-    mid_idx = mesh.n_vertices + inverse.reshape(-1, 3)
-    v0, v1, v2 = mesh.cells[:, 0], mesh.cells[:, 1], mesh.cells[:, 2]
-    m01, m12, m20 = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
-    children = np.vstack([
-        np.column_stack([v0, m01, m20]),
-        np.column_stack([v1, m12, m01]),
-        np.column_stack([v2, m20, m12]),
-        np.column_stack([m01, m12, m20]),
-    ])
-    verts = np.vstack([mesh.vertices, mids])
-    return build_mesh(2, verts, children, domain=mesh.domain)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

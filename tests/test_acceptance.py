@@ -16,8 +16,8 @@ from scipy.special import binom
 
 import fracinv as fi
 from fracinv import fem
-from fracinv.experiments import (ExperimentConfig, make_meshes, run_sweep,
-                                 solve_truth, stability_quotient,
+from fracinv.experiments import (ExperimentConfig, add_noise, make_meshes,
+                                 run_sweep, solve_truth, stability_quotient,
                                  transfer_terminal, verify_decay,
                                  check_positivity)
 from fracinv.fem import VH, XH, Field
@@ -127,8 +127,10 @@ def test_criterion_4_gradient_consistency():
     start = time.perf_counter()
     cfg = ExperimentConfig(problem="1d-sine", h=1.0 / 113.0, n_steps=30,
                            h_ref=1.0 / 1600.0, n_steps_ref=1280, seed=1)
-    z, delta, u_ref = fi.synthesize_data(cfg, 0.5, 1.0, 1e-2, seed=1)
-    mesh = z.mesh
+    problem, mesh, fine = make_meshes(cfg)
+    u_fine = solve_truth(problem, fine, 0.5, 1.0, cfg.n_steps_ref)
+    z, delta = add_noise(transfer_terminal(u_fine, mesh), fem.norm_linf(u_fine),
+                         1e-2, seed=1)
     spec = fi.InverseSpec(mesh=mesh, alpha=0.5, grid=TimeGrid(1.0, 30),
                           u0=get_problem("1d-sine").u0,
                           f=get_problem("1d-sine").f, z_delta=z, gamma=1e-8)

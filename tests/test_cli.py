@@ -1,5 +1,6 @@
 import pytest
 
+from fracinv import experiments
 from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, ConfigError, main,
                          parse_config_text, resolve_config)
 
@@ -231,3 +232,56 @@ def test_effective_config_reproduces_run(tmp_path):
     f1 = (out1 / "u_terminal.field").read_text()
     f2 = (tmp_path / "b" / "u_terminal.field").read_text()
     assert f1 == f2
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("gradcheck", ["gradcheck.fd_step=0"], "gradcheck.fd_step"),
+    ("gradcheck", ["gradcheck.n_directions=0"], "gradcheck.n_directions"),
+    ("gradcheck", ["gradcheck.tolerance=nan"], "gradcheck.tolerance"),
+    ("verify", ["verify.checks=bogus"], "verify.checks"),
+    ("verify", ["verify.checks=stability", "verify.n_perturbations=0"],
+     "n_perturbations")])
+def test_bad_check_keys_exit_2(tmp_path, capsys, command, settings, message):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, cfg_path, *flags]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    ["sweep.noise_levels=nan"], ["mesh.h=nan"], ["time.n_steps=0"],
+    ["sweep.c_gamma=nan"], ["inversion.c0=5", "inversion.c1=0.5"],
+    ["sweep.alphas=1.5"], ["inversion.max_iters=-3"], ["sweep.T_values=inf"],
+    ["data.seed=-1"]],
+    ids=lambda settings: settings[0])
+def test_bench_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys,
+                                                         monkeypatch, settings):
+    def no_solve(*args):
+        raise AssertionError("bad sweep input reached a truth solve")
+    monkeypatch.setattr(experiments, "solve_truth", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = [arg for setting in settings for arg in ("--set", setting)]
+    assert main(["bench", cfg_path, *flags]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_invert_reads_data_file(tmp_path, capsys):
+    # a forward run's terminal field is the observation of an inversion
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/fw\n")
+    assert main(["forward", cfg_path]) == EXIT_OK
+    data = tmp_path / "fw" / "u_terminal.field"
+    assert main(["invert", cfg_path, "--set", f"data.file={data}",
+                 "--set", f"output.directory={tmp_path}/inv",
+                 "--set", "inversion.max_iters=5"]) == EXIT_OK
+    assert (tmp_path / "inv" / "history.csv").exists()
+
+
+@pytest.mark.parametrize("file_from", ["coarser-mesh", "missing"])
+def test_invert_bad_data_file_exits_2(tmp_path, capsys, file_from):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/fw\n")
+    data = tmp_path / "fw" / "u_terminal.field"
+    if file_from == "coarser-mesh":
+        assert main(["forward", cfg_path, "--set", "mesh.h=0.1"]) == EXIT_OK
+    assert main(["invert", cfg_path, "--set", f"data.file={data}",
+                 "--set", f"output.directory={tmp_path}/inv"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err

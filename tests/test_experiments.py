@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fracinv import fem, timestep
+from fracinv import experiments, fem, timestep
 from fracinv.experiments import (ExperimentConfig, add_noise, check_positivity,
                                  compute_errors, compute_rate, make_meshes,
                                  run_sweep, solve_truth, stability_quotient,
-                                 synthesize_data, transfer_terminal,
-                                 verify_decay)
+                                 transfer_terminal, verify_decay)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
 from fracinv.timestep import TimeGrid
@@ -19,14 +18,23 @@ FAST = dict(h=1.0 / 24.0, n_steps=8, h_ref=1.0 / 96.0, n_steps_ref=40)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(h=1e-3, h_ref=1e-2)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_steps=100, n_steps_ref=50)
-    with pytest.raises(ValueError):
-        ExperimentConfig(noise_levels=(-1e-3,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(noise_levels=(1e-2, 1e-3), gammas=(1e-8,))
+    for bad in (dict(h=1e-3, h_ref=1e-2), dict(n_steps=100, n_steps_ref=50),
+                dict(noise_levels=(-1e-3,)),
+                dict(noise_levels=(1e-2, 1e-3), gammas=(1e-8,)),
+                dict(noise_levels=(math.nan,)), dict(h=math.nan), dict(n_steps=0),
+                dict(c_gamma=math.nan), dict(bounds=(5, 0.5)), dict(alphas=(1.5,)),
+                dict(max_iters=-3), dict(T_values=(math.inf,)),
+                dict(problem="3d-cube"), dict(discrepancy_factor=0.0),
+                dict(gammas=(math.inf,)), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+
+def test_config_builds_no_mesh(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("ExperimentConfig built a mesh")
+    monkeypatch.setattr(experiments, "problem_mesh", no_mesh)
+    ExperimentConfig(problem="2d-disk", alphas=(0.25, 1.0), T_values=(1e-5, 2.0))
 
 
 def test_gamma_rule():
@@ -37,17 +45,26 @@ def test_gamma_rule():
     assert cfg2.gamma_for(0) == 7e-9
 
 
+def synthesize(cfg, alpha, T, eps, seed):
+    """Fine-grid truth, coarse transfer and seeded noise, as run_sweep does."""
+    problem, coarse, fine = make_meshes(cfg)
+    u_fine = solve_truth(problem, fine, alpha, T, cfg.n_steps_ref)
+    u_ref = transfer_terminal(u_fine, coarse)
+    z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed)
+    return z, delta, u_ref
+
+
 def test_synthesize_zero_noise():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    z, delta, u_ref = synthesize_data(cfg, 0.5, 1.0, 0.0, seed=5)
+    z, delta, u_ref = synthesize(cfg, 0.5, 1.0, 0.0, seed=5)
     assert delta == 0.0
     assert np.array_equal(z.values, u_ref.values)
 
 
 def test_synthesize_deterministic():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    z1, d1, _ = synthesize_data(cfg, 0.5, 1.0, 1e-2, seed=7)
-    z2, d2, _ = synthesize_data(cfg, 0.5, 1.0, 1e-2, seed=7)
+    z1, d1, _ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
+    z2, d2, _ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
     assert np.array_equal(z1.values, z2.values)
     assert d1 == d2
 
@@ -203,10 +220,11 @@ def test_verify_decay_stationary_state():
     q = fem.interpolate(mesh, VH, lambda x: np.ones_like(x))
     stiff = fem.assemble_stiffness(mesh, XH, q)
     load = fem.load_vector(mesh, XH, 1.0)
-    u_steady = linalg.factorize(stiff).solve(load)
+    u_steady = Field(mesh, XH, linalg.factorize(stiff).solve(load))
     grid = TimeGrid(1.0, 20)
+    # u0 is u_steady's P1 representation, which the projection reproduces
     traj = timestep.solve_forward(
-        mesh, q, Field(mesh, XH, u_steady), 1.0, 0.5, grid)
+        mesh, q, lambda x: fem.evaluate_at_points(u_steady, x[:, None]), 1.0, 0.5, grid)
     for d in timestep.discrete_frac_derivative(traj):
         assert fem.norm_l2(d) <= 1e-9
 

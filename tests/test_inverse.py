@@ -18,7 +18,7 @@ def u0(x):
 def make_spec(mesh, alpha=0.5, gamma=1e-8, z=None, n_steps=10, **kw):
     grid = TimeGrid(1.0, n_steps)
     if z is None:
-        z = fem.zero_field(mesh, XH)
+        z = Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH)))
     return InverseSpec(mesh=mesh, alpha=alpha, grid=grid, u0=u0, f=1.0,
                        z_delta=z, gamma=gamma, **kw)
 
@@ -97,7 +97,7 @@ def test_gradient_matches_central_difference(setup):
 
 def test_smooth_direction_zero_and_energy_identity(setup):
     mesh, q, traj = setup
-    zero = fem.zero_field(mesh, VH)
+    zero = Field(mesh, VH, np.zeros(fem.n_dofs(mesh, VH)))
     assert np.abs(smooth_direction(mesh, zero).values).max() == 0.0
     rng = np.random.default_rng(12)
     raw = Field(mesh, VH, rng.standard_normal(mesh.n_vertices))
@@ -147,7 +147,7 @@ class TestCgDirection:
                                    rtol=1e-12)
 
     def test_zero_previous_gradient_restarts(self):
-        zero = fem.zero_field(self.mesh, VH)
+        zero = Field(self.mesh, VH, np.zeros(fem.n_dofs(self.mesh, VH)))
         assert cg_direction(self.g, zero, self.d, 2) is self.g
 
     def test_growing_gradient_restarts(self):
@@ -347,7 +347,7 @@ def test_each_marched_coefficient_is_factorized_once(monkeypatch):
 
 def test_spec_validation():
     mesh = generate_interval_mesh(8)
-    z = fem.zero_field(mesh, XH)
+    z = Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH)))
     for gamma in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             make_spec(mesh, gamma=gamma, z=z)

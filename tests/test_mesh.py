@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fracinv.errors import MeshFormatError, MeshValidationError
-from fracinv.mesh import (build_mesh, cell_diameters, cell_measures,
-                          generate_disk_mesh, generate_interval_mesh,
-                          load_mesh, refine_uniform, save_mesh)
+from fracinv.mesh import (build_mesh, cell_measures, generate_disk_mesh,
+                          generate_interval_mesh, load_mesh, save_mesh)
 
 
 def test_interval_mesh_basic():
@@ -44,8 +43,10 @@ def test_disk_mesh_chord_gap():
     # largest distance from the circle to the inscribed polygon is the
     # sagitta of a boundary chord; must be below h^2
     m = generate_disk_mesh(0.5)
-    from fracinv.mesh import boundary_edges
-    edges = boundary_edges(m)
+    # boundary edges: those incident to exactly one triangle
+    edges = np.sort(m.cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    edges = uniq[counts == 1]
     chords = np.linalg.norm(m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]], axis=1)
     sagitta = 1.0 - np.sqrt(1.0 - (chords / 2.0) ** 2)
     assert sagitta.max() <= m.h ** 2
@@ -58,12 +59,11 @@ def test_disk_mesh_coarse_experiment_level():
 
 
 def test_disk_mesh_area_deficit_order():
-    # |Omega| - |Omega_h| <= c h^2 with c <= 4 across a refinement hierarchy
-    m = generate_disk_mesh(0.4)
-    for _ in range(3):
+    # |Omega| - |Omega_h| <= c h^2 with c <= 4 across a hierarchy of sizes
+    for target_h in (0.4, 0.2, 0.1):
+        m = generate_disk_mesh(target_h)
         deficit = np.pi - cell_measures(m).sum()
         assert 0.0 < deficit <= 4.0 * m.h ** 2
-        m = refine_uniform(m)
 
 
 def test_disk_mesh_rejects_bad_target():
@@ -73,41 +73,10 @@ def test_disk_mesh_rejects_bad_target():
         generate_disk_mesh(1.5)
 
 
-def test_refine_interval_halves_h():
-    m = generate_interval_mesh(4)
-    r = refine_uniform(m)
-    assert r.n_cells == 8
-    assert r.h == pytest.approx(m.h / 2.0)
-
-
-def test_refine_disk_counts_and_projection():
-    m = generate_disk_mesh(0.2)
-    r = refine_uniform(m)
-    assert r.n_cells == 4 * m.n_cells
-    rad = np.linalg.norm(r.vertices[r.boundary], axis=1)
-    assert np.abs(rad - 1.0).max() <= 1e-12
-    # h halves within 10% despite the boundary projection
-    assert abs(r.h / m.h - 0.5) <= 0.05
-
-
-def test_refine_preserves_parent_vertices():
-    m = generate_disk_mesh(0.3)
-    r = refine_uniform(m)
-    assert np.array_equal(r.vertices[:m.n_vertices], m.vertices)
-
-
-def test_refine_quasi_uniformity_growth():
-    m = generate_disk_mesh(0.25)
-    ratio = cell_diameters(m).max() / cell_diameters(m).min()
-    r = refine_uniform(m)
-    ratio_r = cell_diameters(r).max() / cell_diameters(r).min()
-    assert ratio_r <= 2.0 * ratio
-
-
 @pytest.mark.parametrize("mesh_factory", [
     lambda: generate_interval_mesh(7),
     lambda: generate_disk_mesh(0.3),
-    lambda: refine_uniform(generate_disk_mesh(0.3)),
+    lambda: generate_disk_mesh(0.15),
 ])
 def test_face_to_face_and_area(mesh_factory):
     # build_mesh re-runs the full face-to-face validation on the same data

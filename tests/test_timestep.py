@@ -164,7 +164,7 @@ class TestSensitivity:
                                   self.alpha, self.grid)
 
     def test_zero_direction(self):
-        d = fem.zero_field(self.mesh, VH)
+        d = Field(self.mesh, VH, np.zeros(fem.n_dofs(self.mesh, VH)))
         sens = solve_sensitivity(self.traj, d, self.grid)
         assert np.abs(sens.values).max() == 0.0
 
@@ -193,7 +193,7 @@ class TestSensitivity:
         assert errs[1] <= errs[0] * 1e-2 * 1.5
 
     def test_grid_mismatch_rejected(self):
-        d = fem.zero_field(self.mesh, VH)
+        d = Field(self.mesh, VH, np.zeros(fem.n_dofs(self.mesh, VH)))
         with pytest.raises(ValueError):
             solve_sensitivity(self.traj, d, TimeGrid(1.0, 13))
 
@@ -210,7 +210,8 @@ class TestAdjoint:
         self.rng = rng
 
     def test_zero_residual(self):
-        adj = solve_adjoint(self.traj, self.grid, fem.zero_field(self.mesh, XH))
+        zero = Field(self.mesh, XH, np.zeros(fem.n_dofs(self.mesh, XH)))
+        adj = solve_adjoint(self.traj, self.grid, zero)
         assert np.abs(adj.states.values).max() == 0.0
         assert np.abs(adj.misfit_gradient.values).max() == 0.0
 
@@ -240,8 +241,8 @@ class TestAdjoint:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
     def test_reused_factor_must_match_the_march(self):
-        r = fem.zero_field(self.mesh, XH)
-        d = fem.zero_field(self.mesh, VH)
+        r = Field(self.mesh, XH, np.zeros(fem.n_dofs(self.mesh, XH)))
+        d = Field(self.mesh, VH, np.zeros(fem.n_dofs(self.mesh, VH)))
         sens = solve_sensitivity(self.traj, d, self.grid)
         with pytest.raises(ValueError, match="factorized system"):
             solve_adjoint(sens, self.grid, r)
