@@ -17,20 +17,21 @@ than taking on faith:
 import fracinv as fi
 
 print("== decay of the fractional time derivative ==")
-rows, ratio = fi.verify_decay("1d-sine", 0.5, 10.0, 1000, 1 / 100,
-                              window=(1.0, 10.0))
+rows, ratio = fi.verify_decay(fi.get_problem("1d-sine"), 0.5, 10.0, 1000,
+                              1 / 100, window=(1.0, 10.0))
 for t, w in rows[99::200]:
     print(f"  t = {t:5.2f}   t^(a/2) |d^a U|_W1inf = {w:.4f}")
 print(f"  max/min over [1, 10]: {ratio:.2f}")
 
 print("== terminal positivity weight ==")
 for name, T, n, h in (("1d-sine", 1.0, 30, 1 / 113), ("2d-disk", 2.0, 10, 0.25)):
-    mn, cells = fi.check_positivity(name, 0.5, T, n, h)
+    mn, cells = fi.check_positivity(fi.get_problem(name), 0.5, T, n, h)
     print(f"  {name}: min over {len(cells)} cells = {mn:.4e}")
 
 print("== stability quotient: large T versus tiny T ==")
-table = fi.stability_quotient("1d-sine", 0.75, (1e-5, 3.0, 5.0), 10,
-                              seed=0, h=1 / 100, n_steps=50)
+table = fi.stability_quotient(fi.get_problem("1d-sine"), 0.75,
+                              (1e-5, 3.0, 5.0), 10, seed=0, h=1 / 100,
+                              n_steps=50)
 for T, (qs, mx) in sorted(table.items()):
     print(f"  T = {T:<8g} max quotient = {mx:7.3f}")
 small, large = table[1e-5][1], table[5.0][1]

@@ -3,7 +3,8 @@
 One sectioned key/value config file drives every subcommand; ``--set
 section.key=value`` flags override single entries and the merged,
 effective configuration is echoed into the output directory so any run
-can be reproduced from its artifacts alone.
+can be reproduced from its artifacts alone.  A command writes only after
+its last computation, so a rejected input leaves no file behind.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 check failed (gradcheck).
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -21,8 +23,9 @@ import numpy as np
 
 from . import experiments, fem, inverse, timestep
 from .errors import FracinvError
-from .fem import VH, Field
-from .problems import PROBLEMS, get_problem, problem_mesh
+from .fem import VH, XH, Field
+from .mesh import save_mesh
+from .problems import Problem, get_problem, problem_mesh
 from .timestep import TimeGrid
 
 EXIT_OK = 0
@@ -167,34 +170,57 @@ def _require(cfg, section, key):
     return value
 
 
-def _validate_physics(cfg):
+def _check(keys, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises becomes a
+    ConfigError that names the config keys its input came from."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
+# [problem] key -> the Problem field a constant setting replaces
+_PROBLEM_DATA = {"q": "q_true", "u0": "u0", "f": "f"}
+
+
+def _problem(cfg) -> Problem:
+    """The named problem, with the constants the config sets for q, u0 and f."""
+    problem = _check("problem.name", get_problem, cfg["problem"]["name"])
+    constants = {}
+    for key, attr in _PROBLEM_DATA.items():
+        choice, own = cfg["problem"][key], SCHEMA["problem"][key][1]
+        if choice == own:
+            continue
+        try:
+            value = float(choice)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (key == "q" and value <= 0.0):
+            kind = "a positive, finite" if key == "q" else "a finite"
+            raise ConfigError(
+                f"problem.{key} must be {own!r} or {kind} number, got {choice!r}")
+        constants[attr] = value
+    return dataclasses.replace(problem, **constants)
+
+
+def _alpha(cfg) -> float:
     alpha = _require(cfg, "problem", "alpha")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"problem.alpha must lie in (0, 1], got {alpha}")
-    T = _require(cfg, "problem", "T")
-    if not 0 < T < math.inf:
-        raise ConfigError(f"problem.T must be positive and finite, got {T}")
-    if cfg["time"]["n_steps"] < 1:
-        raise ConfigError("time.n_steps must be >= 1")
-    if not 0 <= cfg["inversion"]["gamma"] < math.inf:
-        raise ConfigError("inversion.gamma must be nonnegative and finite")
-    if not (0 < cfg["inversion"]["c0"] < cfg["inversion"]["c1"]):
-        raise ConfigError("inversion bounds must satisfy 0 < c0 < c1")
-    if cfg["data"]["epsilon"] < 0:
-        raise ConfigError("data.epsilon must be nonnegative")
-    if cfg["problem"]["name"] not in PROBLEMS:
-        raise ConfigError(f"problem.name must be one of {sorted(PROBLEMS)}")
+    _check("problem.alpha", timestep.cq_weights, alpha, 0)
+    return alpha
+
+
+def _grid(cfg) -> TimeGrid:
+    return _check("problem.T, time.n_steps", TimeGrid,
+                  _require(cfg, "problem", "T"), cfg["time"]["n_steps"])
 
 
 def _out_dir(cfg) -> Path:
-    directory = cfg["output"]["directory"] or os.environ.get(
-        "FRACINV_OUTPUT_DIR", "fracinv-out")
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(cfg["output"]["directory"] or os.environ.get(
+        "FRACINV_OUTPUT_DIR", "fracinv-out"))
 
 
 def _echo_config(cfg, out_dir: Path):
+    """Create the output directory and write the effective config into it."""
     lines = []
     for sec, keys in cfg.items():
         lines.append(f"[{sec}]")
@@ -205,44 +231,17 @@ def _echo_config(cfg, out_dir: Path):
                 value = " ".join(map(repr, value))
             lines.append(f"{key} = {value}")
         lines.append("")
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "effective-config.cfg").write_text("\n".join(lines))
 
 
-def _coefficient(cfg, mesh, problem):
-    choice = cfg["problem"]["q"]
-    if choice == "truth":
-        return fem.interpolate(mesh, VH, problem.q_true)
-    try:
-        const = float(choice)
-    except ValueError:
-        raise ConfigError(f"problem.q must be 'truth' or a number, got {choice!r}") from None
-    return Field(mesh, VH, np.full(mesh.n_vertices, const))
-
-
-def _problem_data(cfg, problem, key):
-    """Initial state or source term: the problem's own, or a constant."""
-    choice = cfg["problem"][key]
-    if choice == "problem":
-        return getattr(problem, "u0" if key == "u0" else "f")
-    try:
-        return float(choice)
-    except ValueError:
-        raise ConfigError(
-            f"problem.{key} must be 'problem' or a number, got {choice!r}") from None
-
-
 def cmd_forward(cfg) -> int:
-    _validate_physics(cfg)
-    problem = get_problem(cfg["problem"]["name"])
-    mesh = problem_mesh(problem, cfg["mesh"]["h"])
-    q = _coefficient(cfg, mesh, problem)
-    grid = TimeGrid(cfg["problem"]["T"], cfg["time"]["n_steps"])
-    traj = timestep.solve_forward(mesh, q, _problem_data(cfg, problem, "u0"),
-                                  _problem_data(cfg, problem, "f"),
-                                  cfg["problem"]["alpha"], grid)
+    problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
+    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    q = fem.interpolate(mesh, VH, problem.q_true)
+    traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
     out = _out_dir(cfg)
     _echo_config(cfg, out)
-    from .mesh import save_mesh
     save_mesh(mesh, out / "mesh.txt")
     fem.save_field(traj.terminal, out / "u_terminal.field",
                    name="u_terminal", mesh_file="mesh.txt")
@@ -253,48 +252,51 @@ def cmd_forward(cfg) -> int:
     return EXIT_OK
 
 
-def _observation(cfg, problem, mesh):
-    """Observation field and noise level for inversion: from file (no noise
-    level), or synthesized on ``mesh``."""
-    if cfg["data"]["file"]:
-        try:
-            return fem.load_field(cfg["data"]["file"], mesh), None
-        except OSError as exc:
-            raise ConfigError(f"data.file: {exc}") from None
-    fine = problem_mesh(problem, cfg["data"]["h_ref"])
-    u_fine = experiments.solve_truth(problem, fine, cfg["problem"]["alpha"],
-                                     cfg["problem"]["T"],
-                                     cfg["data"]["n_steps_ref"])
-    u_ref = experiments.transfer_terminal(u_fine, mesh)
-    z, delta = experiments.add_noise(u_ref, fem.norm_linf(u_fine),
-                                     cfg["data"]["epsilon"], cfg["data"]["seed"])
-    return z, delta
+def _inversion(cfg):
+    """The problem and checked InverseSpec that invert and gradcheck share.
 
-
-def _inverse_spec(cfg, problem, mesh, z, delta):
-    inv = cfg["inversion"]
-    stop = inverse.StoppingRule(noise_level=delta,
-                                discrepancy_factor=inv["discrepancy_factor"],
-                                gradient_tol=inv["gradient_tol"])
-    q_init = Field(mesh, VH, np.full(mesh.n_vertices, inv["q_init"]))
-    return inverse.InverseSpec(
-        mesh=mesh, alpha=cfg["problem"]["alpha"],
-        grid=TimeGrid(cfg["problem"]["T"], cfg["time"]["n_steps"]),
-        u0=problem.u0, f=problem.f, z_delta=z, gamma=inv["gamma"],
-        c0=inv["c0"], c1=inv["c1"], q_init=q_init,
+    Every input is accepted before the observation is read or synthesized.
+    """
+    problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
+    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    data, inv = cfg["data"], cfg["inversion"]
+    if not 0.0 <= data["epsilon"] < math.inf:
+        raise ConfigError(
+            f"data.epsilon must be nonnegative and finite, got {data['epsilon']}")
+    _check("data.seed", np.random.SeedSequence, data["seed"])
+    stop = _check("inversion.discrepancy_factor, inversion.gradient_tol",
+                  inverse.StoppingRule, discrepancy_factor=inv["discrepancy_factor"],
+                  gradient_tol=inv["gradient_tol"])
+    spec = _check(
+        "inversion.gamma, c0, c1, q_init, max_iters", inverse.InverseSpec,
+        mesh=mesh, alpha=alpha, grid=grid, u0=problem.u0, f=problem.f,
+        z_delta=Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH))),
+        gamma=inv["gamma"], c0=inv["c0"], c1=inv["c1"],
+        q_init=Field(mesh, VH, np.full(mesh.n_vertices, inv["q_init"])),
         max_iters=inv["max_iters"], stop=stop)
+    if data["file"]:
+        try:
+            z, delta = fem.load_field(data["file"], mesh), None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"data.file: {exc}") from None
+    else:
+        fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
+        _check("problem.T, data.n_steps_ref", TimeGrid, grid.T, data["n_steps_ref"])
+        u_fine = experiments.solve_truth(problem, fine, alpha, grid.T,
+                                         data["n_steps_ref"])
+        z, delta = experiments.add_noise(
+            experiments.transfer_terminal(u_fine, mesh), fem.norm_linf(u_fine),
+            data["epsilon"], data["seed"])
+    return problem, _check("data.file", dataclasses.replace, spec, z_delta=z,
+                           stop=dataclasses.replace(stop, noise_level=delta))
 
 
 def cmd_invert(cfg) -> int:
-    _validate_physics(cfg)
-    problem = get_problem(cfg["problem"]["name"])
-    mesh = problem_mesh(problem, cfg["mesh"]["h"])
-    z, delta = _observation(cfg, problem, mesh)
-    spec = _inverse_spec(cfg, problem, mesh, z, delta)
+    problem, spec = _inversion(cfg)
     result = inverse.run_inversion(spec)
+    mesh = spec.mesh
     out = _out_dir(cfg)
     _echo_config(cfg, out)
-    from .mesh import save_mesh
     save_mesh(mesh, out / "mesh.txt")
     fem.save_field(result.q, out / "q_reconstructed.field",
                    name="q_reconstructed", mesh_file="mesh.txt")
@@ -311,7 +313,6 @@ def cmd_invert(cfg) -> int:
 
 
 def cmd_gradcheck(cfg) -> int:
-    _validate_physics(cfg)
     check = cfg["gradcheck"]
     step, tol = check["fd_step"], check["tolerance"]
     if not 0.0 < step < math.inf:
@@ -321,11 +322,8 @@ def cmd_gradcheck(cfg) -> int:
             f"gradcheck.n_directions must be >= 1, got {check['n_directions']}")
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"gradcheck.tolerance must be nonnegative and finite, got {tol}")
-    problem = get_problem(cfg["problem"]["name"])
-    mesh = problem_mesh(problem, cfg["mesh"]["h"])
-    z, delta = _observation(cfg, problem, mesh)
-    spec = _inverse_spec(cfg, problem, mesh, z, delta)
-    q = spec.q_init
+    _, spec = _inversion(cfg)
+    mesh, q = spec.mesh, spec.q_init
     g = inverse.gradient(spec, q)
     rng = np.random.default_rng(cfg["data"]["seed"] + 1)
     worst = 0.0
@@ -356,22 +354,23 @@ def _smooth_direction_sample(mesh, rng):
 
 
 def cmd_bench(cfg) -> int:
-    _validate_physics(cfg)
-    sweep = cfg["sweep"]
+    sweep, inv = cfg["sweep"], cfg["inversion"]
+    if any(cfg["problem"][key] != SCHEMA["problem"][key][1] for key in _PROBLEM_DATA):
+        raise ConfigError("bench sweeps the named problem as it is defined: "
+                          "problem.q, problem.u0 and problem.f must keep their defaults")
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
-    T_values = sweep["T_values"] or (cfg["problem"]["T"],)
-    config = experiments.ExperimentConfig(
+    config = _check(
+        "bench", experiments.ExperimentConfig,
         problem=cfg["problem"]["name"], alphas=sweep["alphas"],
-        T_values=T_values, noise_levels=sweep["noise_levels"],
-        gammas=sweep["gammas"] or None, c_gamma=sweep["c_gamma"],
-        h=cfg["mesh"]["h"], n_steps=cfg["time"]["n_steps"],
+        T_values=sweep["T_values"] or (_require(cfg, "problem", "T"),),
+        noise_levels=sweep["noise_levels"], gammas=sweep["gammas"] or None,
+        c_gamma=sweep["c_gamma"], h=cfg["mesh"]["h"], n_steps=cfg["time"]["n_steps"],
         h_ref=cfg["data"]["h_ref"], n_steps_ref=cfg["data"]["n_steps_ref"],
-        seed=cfg["data"]["seed"], bounds=(cfg["inversion"]["c0"], cfg["inversion"]["c1"]),
-        max_iters=cfg["inversion"]["max_iters"],
-        discrepancy_factor=cfg["inversion"]["discrepancy_factor"],
+        seed=cfg["data"]["seed"], bounds=(inv["c0"], inv["c1"]),
+        max_iters=inv["max_iters"], discrepancy_factor=inv["discrepancy_factor"],
         output_dir=str(out))
     report = experiments.run_sweep(config)
+    _echo_config(cfg, out)
     n_fail = sum(1 for r in report.records if r.error is not None)
     print(f"bench: {len(report.records)} runs, {n_fail} failed -> {out / 'report.csv'}")
     for (a, T), (rq, ru) in report.rates.items():
@@ -382,42 +381,42 @@ def cmd_bench(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    _validate_physics(cfg)
     ver = cfg["verify"]
     checks = ver["checks"].split()
     known = ("decay", "positivity", "stability")
     if not checks or not set(checks) <= set(known):
         raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
                           f"got {ver['checks']!r}")
-    out = _out_dir(cfg)
-    _echo_config(cfg, out)
-    name = cfg["problem"]["name"]
-    alpha = cfg["problem"]["alpha"]
-    h = cfg["mesh"]["h"]
+    problem, alpha, h = _problem(cfg), _alpha(cfg), cfg["mesh"]["h"]
+    tables, lines = [], []  # every check runs before anything is written
     if "decay" in checks:
-        rows, ratio = experiments.verify_decay(
-            name, alpha, ver["decay_T"], ver["decay_n_steps"], h)
-        np.savetxt(out / "decay.csv", rows, delimiter=",",
-                   header="t,weighted_w1inf", comments="")
-        print(f"verify decay: max/min weighted ratio over [1, T] = {ratio:.3f}")
+        rows, ratio = _check(
+            "mesh.h, verify.decay_T, verify.decay_n_steps", experiments.verify_decay,
+            problem, alpha, ver["decay_T"], ver["decay_n_steps"], h)
+        tables.append(("decay.csv", "t,weighted_w1inf", rows, "%.18e"))
+        lines.append(f"verify decay: max/min weighted ratio over [1, T] = {ratio:.3f}")
     if "positivity" in checks:
-        min_val, cells = experiments.check_positivity(
-            name, alpha, cfg["problem"]["T"], cfg["time"]["n_steps"], h)
-        np.savetxt(out / "positivity.csv", cells, delimiter=",",
-                   header="cell_weight", comments="")
-        print(f"verify positivity: min over cells = {min_val:.6e}")
+        min_val, cells = _check(
+            "mesh.h, problem.T, time.n_steps", experiments.check_positivity, problem,
+            alpha, _require(cfg, "problem", "T"), cfg["time"]["n_steps"], h)
+        tables.append(("positivity.csv", "cell_weight", cells, "%.18e"))
+        lines.append(f"verify positivity: min over cells = {min_val:.6e}")
     if "stability" in checks:
         T_pair = (ver["stability_T_small"], ver["stability_T_large"])
-        table = experiments.stability_quotient(
-            name, alpha, T_pair, ver["n_perturbations"], ver["seed"], h,
-            cfg["time"]["n_steps"])
-        with open(out / "stability.csv", "w") as fh:
-            fh.write("T,max_quotient\n")
-            for T, (_, mx) in table.items():
-                fh.write(f"{T:.17g},{mx:.17g}\n")
+        table = _check(
+            "mesh.h, time.n_steps, verify.stability_T_small, stability_T_large, "
+            "n_perturbations, seed", experiments.stability_quotient, problem, alpha,
+            T_pair, ver["n_perturbations"], ver["seed"], h, cfg["time"]["n_steps"])
+        rows = [(T, mx) for T, (_, mx) in table.items()]
+        tables.append(("stability.csv", "T,max_quotient", rows, "%.17g"))
         small, large = table[T_pair[0]][1], table[T_pair[1]][1]
-        print(f"verify stability: max quotient T={T_pair[0]:g}: {small:.3f}, "
-              f"T={T_pair[1]:g}: {large:.3f} (ratio {small / large:.2f})")
+        lines.append(f"verify stability: max quotient T={T_pair[0]:g}: {small:.3f}, "
+                     f"T={T_pair[1]:g}: {large:.3f} (ratio {small / large:.2f})")
+    out = _out_dir(cfg)
+    _echo_config(cfg, out)
+    for name, header, rows, fmt in tables:
+        np.savetxt(out / name, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    print("\n".join(lines))
     return EXIT_OK
 
 

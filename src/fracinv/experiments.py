@@ -268,7 +268,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def verify_decay(problem_name: str, alpha: float, T: float, n_steps: int,
+def verify_decay(problem: Problem, alpha: float, T: float, n_steps: int,
                  h: float, window=(1.0, None)):
     """Weighted decay table of the discrete fractional derivative.
 
@@ -276,7 +276,6 @@ def verify_decay(problem_name: str, alpha: float, T: float, n_steps: int,
     coefficient's forward solve and reports (rows, max/min ratio over the
     window), probing boundedness of the weighted quantity.
     """
-    problem = get_problem(problem_name)
     mesh = problem_mesh(problem, h)
     q = fem.interpolate(mesh, VH, problem.q_true)
     grid = TimeGrid(T, n_steps)
@@ -295,11 +294,10 @@ def verify_decay(problem_name: str, alpha: float, T: float, n_steps: int,
     return rows, ratio
 
 
-def check_positivity(problem_name: str, alpha: float, T: float, n_steps: int,
+def check_positivity(problem: Problem, alpha: float, T: float, n_steps: int,
                      h: float):
     """Minimum over cells of the terminal positivity weight
     q |grad u|^2 + (f - d_t^alpha u) u, vertex-sampled for the second term."""
-    problem = get_problem(problem_name)
     mesh = problem_mesh(problem, h)
     q = fem.interpolate(mesh, VH, problem.q_true)
     grid = TimeGrid(T, n_steps)
@@ -316,7 +314,7 @@ def check_positivity(problem_name: str, alpha: float, T: float, n_steps: int,
     return float(cell_values.min()), cell_values
 
 
-def stability_quotient(problem_name: str, alpha: float, T_values,
+def stability_quotient(problem: Problem, alpha: float, T_values,
                        n_perturbations: int, seed: int, h: float, n_steps: int,
                        amplitude: float = 0.1, bounds=(0.5, 5.0)):
     """Stability quotients |q - q_true| / |grad(u(q) - u(q_true))(T)|^(1/2).
@@ -327,7 +325,6 @@ def stability_quotient(problem_name: str, alpha: float, T_values,
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
-    problem = get_problem(problem_name)
     mesh = problem_mesh(problem, h)
     q_true = fem.interpolate(mesh, VH, problem.q_true)
     rng = np.random.default_rng(seed)

@@ -201,7 +201,7 @@ def assemble_stiffness(mesh: Mesh, space: str, q: Field) -> sp.csr_matrix:
     if q.mesh is not mesh or q.space != VH:
         raise ValueError("coefficient must be a V_h field on the same mesh")
     qmin = q.values.min()
-    if qmin <= 0.0:
+    if not qmin > 0.0:
         raise InvalidCoefficientError(f"coefficient must be positive, min is {qmin:.3g}")
     return _stiffness_with_coeff(mesh, space, q.values)
 

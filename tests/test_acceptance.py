@@ -274,8 +274,8 @@ def test_criterion_8_2d_smoke():
 
 def test_criterion_9_decay_diagnostic():
     start = time.perf_counter()
-    rows, ratio = verify_decay("1d-sine", 0.5, 10.0, 1000, 1.0 / 100.0,
-                               window=(1.0, 10.0))
+    rows, ratio = verify_decay(get_problem("1d-sine"), 0.5, 10.0, 1000,
+                               1.0 / 100.0, window=(1.0, 10.0))
     ok = ratio <= 10.0
     report(9, "decay-diagnostic", ok,
            f"weighted max/min over [1, 10] = {ratio:.2f} <= 10",
@@ -284,8 +284,8 @@ def test_criterion_9_decay_diagnostic():
 
 def test_criterion_10_positivity():
     start = time.perf_counter()
-    mn1, _ = check_positivity("1d-sine", 0.5, 1.0, 30, 1.0 / 113.0)
-    mn2, _ = check_positivity("2d-disk", 0.5, 2.0, 10, 0.25)
+    mn1, _ = check_positivity(get_problem("1d-sine"), 0.5, 1.0, 30, 1.0 / 113.0)
+    mn2, _ = check_positivity(get_problem("2d-disk"), 0.5, 2.0, 10, 0.25)
     ok = mn1 > 0.0 and mn2 > 0.0
     report(10, "positivity", ok,
            f"min weight 1d={mn1:.3e}, 2d={mn2:.3e} (both > 0)",
@@ -294,8 +294,8 @@ def test_criterion_10_positivity():
 
 def test_criterion_11_stability_contrast():
     start = time.perf_counter()
-    table = stability_quotient("1d-sine", 0.75, (1e-5, 5.0), 10, seed=0,
-                               h=1.0 / 100.0, n_steps=50)
+    table = stability_quotient(get_problem("1d-sine"), 0.75, (1e-5, 5.0), 10,
+                               seed=0, h=1.0 / 100.0, n_steps=50)
     small, large = table[1e-5][1], table[5.0][1]
     ok = small >= 5.0 * large
     report(11, "stability-contrast", ok,

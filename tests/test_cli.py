@@ -285,3 +285,92 @@ def test_invert_bad_data_file_exits_2(tmp_path, capsys, file_from):
     assert main(["invert", cfg_path, "--set", f"data.file={data}",
                  "--set", f"output.directory={tmp_path}/inv"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_bench_without_alpha_exits_0(tmp_path, capsys):
+    # bench sweeps sweep.alphas and never reads problem.alpha
+    cfg_path = write_cfg(tmp_path, BASE.replace("alpha = 0.5\n", "") + f"""
+[sweep]
+noise_levels = 1e-2
+
+[output]
+directory = {tmp_path}/bench
+""")
+    assert main(["bench", cfg_path]) == EXIT_OK
+    assert (tmp_path / "bench" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("setting", ["problem.q=2", "problem.u0=0", "problem.f=0"])
+def test_bench_rejects_problem_data(tmp_path, capsys, monkeypatch, setting):
+    # the sweep runs the named problem as defined; a constant would be ignored
+    def no_solve(*args):
+        raise AssertionError("rejected input reached a truth solve")
+    monkeypatch.setattr(experiments, "solve_truth", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["bench", cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert setting.partition("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("bench", "sweep.noise_levels=nan"),
+    ("verify", "verify.n_perturbations=0")])
+def test_rejected_run_writes_nothing(tmp_path, capsys, command, setting):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main([command, cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_invert_honours_problem_data(tmp_path, capsys):
+    # zero u0 and f make the data pure noise, which q_init already fits
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["invert", cfg_path, "--set", "problem.u0=0",
+                 "--set", "problem.f=0"]) == EXIT_OK
+    assert "(discrepancy) iterations=0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("setting", [
+    "problem.q=-1", "problem.q=0", "problem.q=nan", "problem.u0=nan",
+    "problem.f=inf"])
+def test_forward_bad_problem_data_exits_2(tmp_path, capsys, setting):
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert setting.partition("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["invert", "gradcheck"])
+@pytest.mark.parametrize("settings", [
+    ["inversion.gamma=-1e-8"], ["inversion.gamma=nan"],
+    ["inversion.c0=5", "inversion.c1=0.5"], ["inversion.c0=nan"],
+    ["inversion.max_iters=-1"], ["inversion.q_init=nan"], ["inversion.q_init=9"],
+    ["inversion.discrepancy_factor=nan"], ["inversion.discrepancy_factor=0"],
+    ["inversion.gradient_tol=-1"], ["data.epsilon=-1"], ["data.epsilon=nan"],
+    ["data.seed=-1"]],
+    ids=lambda settings: settings[0])
+def test_bad_inversion_input_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      command, settings):
+    def no_solve(*args):
+        raise AssertionError("bad inversion input reached a truth solve")
+    monkeypatch.setattr(experiments, "solve_truth", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, cfg_path, *flags]) == EXIT_CONFIG
+    assert settings[0].partition("=")[0].split(".")[0] in capsys.readouterr().err
+
+
+def _field_lines(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_invert_matches_the_sweep(tmp_path, capsys):
+    # one data path: invert at a sweep's row-0 settings reconstructs the same q
+    config = experiments.ExperimentConfig(
+        problem="1d-sine", alphas=(0.5,), T_values=(1.0,), noise_levels=(1e-2,),
+        h=0.05, n_steps=8, h_ref=0.0125, n_steps_ref=40, seed=3,
+        output_dir=str(tmp_path / "sweep"))
+    experiments.run_sweep(config)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/inv\n")
+    assert main(["invert", cfg_path,
+                 "--set", f"inversion.gamma={config.gamma_for(0)!r}"]) == EXIT_OK
+    assert (_field_lines(tmp_path / "inv" / "q_reconstructed.field")
+            == _field_lines(tmp_path / "sweep" / "alpha0.5_T1_eps0.01_q.field"))

@@ -1,15 +1,25 @@
 """The demos take minutes, so they are checked without running them: every
 name a demo imports from fracinv, or reads off a fracinv module it has
-imported (``fi.<name>``, ``fem.<name>``), must still exist."""
+imported (``fi.<name>``, ``fem.<name>``), must still exist.  The README's
+example config and Python blocks are held to the same rule."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from fracinv.cli import parse_config_text, resolve_config
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", (ROOT / "README.md").read_text(),
+                      flags=re.M | re.S)
 
 
 def fracinv_names(tree):
@@ -46,3 +56,18 @@ def test_demo_names_resolve(path):
     missing = [f"{module.__name__}.{name}" for module, name in names
                if not hasattr(module, name)]
     assert not missing, f"{path.name} uses names fracinv no longer has: {missing}"
+
+
+def test_readme_config_resolves():
+    (config,) = readme_blocks("ini")
+    cfg = resolve_config(parse_config_text(config), [])
+    assert cfg["problem"]["name"] == "1d-sine"
+
+
+def test_readme_python_names_resolve():
+    blocks = readme_blocks("python")
+    assert blocks, "README has no Python example"
+    names = [name for block in blocks for name in fracinv_names(ast.parse(block))]
+    missing = [f"{module.__name__}.{name}" for module, name in names
+               if not hasattr(module, name)]
+    assert names and not missing, f"README uses names fracinv no longer has: {missing}"

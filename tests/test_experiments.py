@@ -191,7 +191,7 @@ def test_run_sweep_noise_free_below_discretization_floor():
 
 
 def test_verify_decay_bounded_ratio():
-    rows, ratio = verify_decay("1d-sine", 0.5, 4.0, 160, 1.0 / 40.0)
+    rows, ratio = verify_decay(get_problem("1d-sine"), 0.5, 4.0, 160, 1.0 / 40.0)
     assert rows.shape == (160, 2)
     assert ratio <= 10.0
 
@@ -230,9 +230,9 @@ def test_verify_decay_stationary_state():
 
 
 def test_positivity_examples():
-    mn1, cells1 = check_positivity("1d-sine", 0.5, 1.0, 20, 1.0 / 50.0)
+    mn1, cells1 = check_positivity(get_problem("1d-sine"), 0.5, 1.0, 20, 1.0 / 50.0)
     assert mn1 > 0.0
-    mn2, cells2 = check_positivity("2d-disk", 0.5, 2.0, 10, 0.3)
+    mn2, cells2 = check_positivity(get_problem("2d-disk"), 0.5, 2.0, 10, 0.3)
     assert mn2 > 0.0
     assert len(cells1) == 50
 
@@ -248,14 +248,14 @@ def test_positivity_degenerate_zero_data():
 
 
 def test_stability_quotient_contrast():
-    table = stability_quotient("1d-sine", 0.75, (1e-5, 5.0), 6, seed=0,
-                               h=1.0 / 50.0, n_steps=30)
+    table = stability_quotient(get_problem("1d-sine"), 0.75, (1e-5, 5.0), 6,
+                               seed=0, h=1.0 / 50.0, n_steps=30)
     assert table[1e-5][1] >= 5.0 * table[5.0][1]
     assert all(len(table[T][0]) == 6 for T in table)
 
 
 def test_stability_quotient_comparable_large_T():
-    table = stability_quotient("1d-sine", 0.5, (3.0, 5.0), 5, seed=1,
-                               h=1.0 / 40.0, n_steps=20)
+    table = stability_quotient(get_problem("1d-sine"), 0.5, (3.0, 5.0), 5,
+                               seed=1, h=1.0 / 40.0, n_steps=20)
     ratio = table[3.0][1] / table[5.0][1]
     assert 0.2 <= ratio <= 5.0

@@ -65,6 +65,12 @@ def test_stiffness_rejects_nonpositive_coefficient():
         fem.assemble_stiffness(m, XH, q)
 
 
+def test_stiffness_rejects_nan_coefficient():
+    m = generate_interval_mesh(4)
+    with pytest.raises(InvalidCoefficientError):
+        fem.assemble_stiffness(m, XH, Field(m, VH, np.full(5, np.nan)))
+
+
 def test_matrices_symmetric():
     m = generate_disk_mesh(0.3)
     q = Field(m, VH, 1.0 + 0.1 * m.vertices[:, 0] ** 2)
