@@ -20,13 +20,10 @@ alpha = 0.5
 
 print("== temporal refinement (fixed mesh h = 1/200) ==")
 mesh = problem_mesh(problem, 1 / 200)
-q = fem.interpolate(mesh, VH, problem.q_true)
-ref = fi.solve_forward(mesh, q, problem.u0, problem.f, alpha,
-                       TimeGrid(1.0, 1280)).terminal
+ref = fi.solve_truth(problem, mesh, alpha, TimeGrid(1.0, 1280)).terminal
 prev = None
 for n in (10, 20, 40, 80):
-    traj = fi.solve_forward(mesh, q, problem.u0, problem.f, alpha,
-                            TimeGrid(1.0, n))
+    traj = fi.solve_truth(problem, mesh, alpha, TimeGrid(1.0, n))
     err = fi.norm_l2(Field(mesh, XH, traj.terminal.values - ref.values))
     rate = f"{np.log2(prev / err):5.2f}" if prev else "   --"
     print(f"  N = {n:4d}   error = {err:.3e}   order = {rate}")
@@ -34,15 +31,11 @@ for n in (10, 20, 40, 80):
 
 print("== spatial refinement (fixed N = 1280) ==")
 fine = problem_mesh(problem, 1 / 1600)
-q_fine = fem.interpolate(fine, VH, problem.q_true)
-u_ref = fi.solve_forward(fine, q_fine, problem.u0, problem.f, alpha,
-                         TimeGrid(1.0, 1280)).terminal
+u_ref = fi.solve_truth(problem, fine, alpha, TimeGrid(1.0, 1280)).terminal
 prev = None
 for n in (25, 50, 100):
     mesh = problem_mesh(problem, 1.0 / n)
-    q = fem.interpolate(mesh, VH, problem.q_true)
-    traj = fi.solve_forward(mesh, q, problem.u0, problem.f, alpha,
-                            TimeGrid(1.0, 1280))
+    traj = fi.solve_truth(problem, mesh, alpha, TimeGrid(1.0, 1280))
     on_fine = fem.evaluate_at_points(traj.terminal, fine.vertices[fine.interior])
     err = fi.norm_l2(Field(fine, XH, on_fine - u_ref.values))
     rate = f"{np.log2(prev / err):5.2f}" if prev else "   --"

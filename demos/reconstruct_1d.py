@@ -23,7 +23,7 @@ config = ExperimentConfig(problem="1d-sine", h=1 / 113, n_steps=30,
 problem, coarse, fine = make_meshes(config)
 
 print(f"truth solve on {fine.n_cells} cells x {config.n_steps_ref} steps ...")
-u_fine = solve_truth(problem, fine, alpha, T, config.n_steps_ref)
+u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, config.n_steps_ref)).terminal
 u_ref = transfer_terminal(u_fine, coarse)
 z, delta = add_noise(u_ref, fi.norm_linf(u_fine), eps, seed=1)
 print(f"noise level delta = {delta:.3e}")

@@ -23,7 +23,7 @@ problem, coarse, fine = make_meshes(config)
 print(f"coarse mesh: {coarse.n_cells} cells, {coarse.n_vertices} vertices")
 print(f"fine mesh:   {fine.n_cells} cells, {fine.n_vertices} vertices")
 
-u_fine = solve_truth(problem, fine, alpha, T, config.n_steps_ref)
+u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, config.n_steps_ref)).terminal
 u_ref = transfer_terminal(u_fine, coarse)
 z, delta = add_noise(u_ref, fi.norm_linf(u_fine), eps, seed=1)
 

@@ -17,8 +17,7 @@ than taking on faith:
 import fracinv as fi
 
 print("== decay of the fractional time derivative ==")
-rows, ratio = fi.verify_decay(fi.get_problem("1d-sine"), 0.5, 10.0, 1000,
-                              1 / 100, window=(1.0, 10.0))
+rows, ratio = fi.verify_decay(fi.get_problem("1d-sine"), 0.5, 10.0, 1000, 1 / 100)
 for t, w in rows[99::200]:
     print(f"  t = {t:5.2f}   t^(a/2) |d^a U|_W1inf = {w:.4f}")
 print(f"  max/min over [1, 10]: {ratio:.2f}")

@@ -238,8 +238,7 @@ def _echo_config(cfg, out_dir: Path):
 def cmd_forward(cfg) -> int:
     problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
-    q = fem.interpolate(mesh, VH, problem.q_true)
-    traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
+    traj = experiments.solve_truth(problem, mesh, alpha, grid)
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     save_mesh(mesh, out / "mesh.txt")
@@ -281,9 +280,9 @@ def _inversion(cfg):
             raise ConfigError(f"data.file: {exc}") from None
     else:
         fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
-        _check("problem.T, data.n_steps_ref", TimeGrid, grid.T, data["n_steps_ref"])
-        u_fine = experiments.solve_truth(problem, fine, alpha, grid.T,
-                                         data["n_steps_ref"])
+        grid_ref = _check("problem.T, data.n_steps_ref", TimeGrid, grid.T,
+                          data["n_steps_ref"])
+        u_fine = experiments.solve_truth(problem, fine, alpha, grid_ref).terminal
         z, delta = experiments.add_noise(
             experiments.transfer_terminal(u_fine, mesh), fem.norm_linf(u_fine),
             data["epsilon"], data["seed"])
@@ -404,9 +403,10 @@ def cmd_verify(cfg) -> int:
     if "stability" in checks:
         T_pair = (ver["stability_T_small"], ver["stability_T_large"])
         table = _check(
-            "mesh.h, time.n_steps, verify.stability_T_small, stability_T_large, "
-            "n_perturbations, seed", experiments.stability_quotient, problem, alpha,
-            T_pair, ver["n_perturbations"], ver["seed"], h, cfg["time"]["n_steps"])
+            "problem.q, mesh.h, time.n_steps, verify.stability_T_small, "
+            "stability_T_large, n_perturbations, seed", experiments.stability_quotient,
+            problem, alpha, T_pair, ver["n_perturbations"], ver["seed"], h,
+            cfg["time"]["n_steps"])
         rows = [(T, mx) for T, (_, mx) in table.items()]
         tables.append(("stability.csv", "T,max_quotient", rows, "%.17g"))
         small, large = table[T_pair[0]][1], table[T_pair[1]][1]

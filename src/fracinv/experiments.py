@@ -17,7 +17,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,10 @@ from .fem import VH, XH, Field
 from .inverse import InverseSpec, StoppingRule, run_inversion
 from .mesh import Mesh, save_mesh
 from .problems import Problem, get_problem, problem_mesh
-from .timestep import TimeGrid
+from .timestep import TimeGrid, Trajectory
+
+# Peak size of the stability probe's coefficient perturbations.
+BUMP_AMPLITUDE = 0.1
 
 CSV_COLUMNS = ("alpha", "T", "eps", "gamma", "delta", "e_q", "e_u",
                "iters", "converged", "reason", "seconds")
@@ -144,13 +147,11 @@ def make_meshes(config: ExperimentConfig):
     return problem, coarse, fine
 
 
-def solve_truth(problem: Problem, mesh_fine: Mesh, alpha: float, T: float,
-                n_steps_ref: int) -> Field:
-    """Terminal state of the fine-grid forward solve with the true coefficient."""
-    q_fine = fem.interpolate(mesh_fine, VH, problem.q_true)
-    grid = TimeGrid(T, n_steps_ref)
-    traj = timestep.solve_forward(mesh_fine, q_fine, problem.u0, problem.f, alpha, grid)
-    return traj.terminal
+def solve_truth(problem: Problem, mesh: Mesh, alpha: float, grid: TimeGrid,
+                ) -> Trajectory:
+    """Forward march of the problem's own coefficient, initial state and source."""
+    q = fem.interpolate(mesh, VH, problem.q_true)
+    return timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
 
 
 def transfer_terminal(u_fine: Field, coarse: Mesh) -> Field:
@@ -218,7 +219,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     # it caches, are freed before the inversions
     truths = []
     for alpha, T in rows:
-        u_fine = solve_truth(problem, fine, alpha, T, config.n_steps_ref)
+        u_fine = solve_truth(problem, fine, alpha,
+                             TimeGrid(T, config.n_steps_ref)).terminal
         truths.append((transfer_terminal(u_fine, coarse), fem.norm_linf(u_fine)))
         del u_fine
     del fine
@@ -238,7 +240,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                       discrepancy_factor=config.discrepancy_factor))
                 result = run_inversion(spec)
                 u_term = timestep.solve_forward(
-                    coarse, result.q, problem.u0, problem.f, alpha, spec.grid).terminal
+                    coarse, result.q, spec.u0, spec.f, alpha, spec.grid).terminal
                 e_q, e_u = compute_errors(result.q, q_dag_coarse, u_term, u_ref)
                 rec = RunRecord(alpha, T, eps, gamma, delta, e_q, e_u,
                                 result.iterations, result.converged,
@@ -269,26 +271,22 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 
 
 def verify_decay(problem: Problem, alpha: float, T: float, n_steps: int,
-                 h: float, window=(1.0, None)):
+                 h: float):
     """Weighted decay table of the discrete fractional derivative.
 
     Computes t_n**(alpha/2) * |d_tau^alpha U^n|_{W^{1,inf}} on the true
-    coefficient's forward solve and reports (rows, max/min ratio over the
-    window), probing boundedness of the weighted quantity.
+    coefficient's forward solve and reports (rows, max/min ratio over
+    [1, T]), probing boundedness of the weighted quantity.
     """
-    mesh = problem_mesh(problem, h)
-    q = fem.interpolate(mesh, VH, problem.q_true)
     grid = TimeGrid(T, n_steps)
-    traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
+    traj = solve_truth(problem, problem_mesh(problem, h), alpha, grid)
     derivs = timestep.discrete_frac_derivative(traj)
     times = grid.times[1:]
     weighted = np.array([t ** (alpha / 2.0) * fem.seminorm_w1inf(dn)
                          for t, dn in zip(times, derivs)])
-    lo, hi = window
-    hi = T if hi is None else hi
-    mask = (times >= lo) & (times <= hi)
+    mask = (times >= 1.0) & (times <= T)  # tau * N can round above T
     if not mask.any():
-        raise ValueError("decay window contains no time steps")
+        raise ValueError("decay window [1, T] contains no time steps")
     ratio = float(weighted[mask].max() / weighted[mask].min())
     rows = np.column_stack([times, weighted])
     return rows, ratio
@@ -299,13 +297,12 @@ def check_positivity(problem: Problem, alpha: float, T: float, n_steps: int,
     """Minimum over cells of the terminal positivity weight
     q |grad u|^2 + (f - d_t^alpha u) u, vertex-sampled for the second term."""
     mesh = problem_mesh(problem, h)
-    q = fem.interpolate(mesh, VH, problem.q_true)
-    grid = TimeGrid(T, n_steps)
-    traj = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid)
+    traj = solve_truth(problem, mesh, alpha, TimeGrid(T, n_steps))
     u_term = traj.terminal
     d_term = timestep.discrete_frac_derivative(traj)[-1]
     grad_sq = np.einsum("cd,cd->c", fem.cell_gradient(u_term),
                         fem.cell_gradient(u_term))
+    q = fem.interpolate(mesh, VH, problem.q_true)
     q_cell = q.values[mesh.cells].mean(axis=1)
     f_nodal = fem.interpolate(mesh, VH, problem.f).values
     second_nodal = (f_nodal - d_term.extend()) * u_term.extend()
@@ -315,60 +312,64 @@ def check_positivity(problem: Problem, alpha: float, T: float, n_steps: int,
 
 
 def stability_quotient(problem: Problem, alpha: float, T_values,
-                       n_perturbations: int, seed: int, h: float, n_steps: int,
-                       amplitude: float = 0.1, bounds=(0.5, 5.0)):
+                       n_perturbations: int, seed: int, h: float, n_steps: int):
     """Stability quotients |q - q_true| / |grad(u(q) - u(q_true))(T)|^(1/2).
 
-    Draws seeded smooth bump perturbations of the true coefficient, solves
-    both forward problems on the same grid for each terminal time, and
-    returns {T: (quotients, max)}.  Zero perturbations are rejected.
+    Draws seeded smooth bump perturbations of the true coefficient, of
+    amplitude BUMP_AMPLITUDE, solves both forward problems on the same grid
+    for each terminal time, and returns {T: (quotients, max)}.  The true
+    coefficient must exceed the amplitude on the mesh, so that every
+    perturbed coefficient stays positive.
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
     mesh = problem_mesh(problem, h)
     q_true = fem.interpolate(mesh, VH, problem.q_true)
+    if not q_true.values.min() > BUMP_AMPLITUDE:
+        raise ValueError(f"the coefficient must exceed the perturbation amplitude "
+                         f"{BUMP_AMPLITUDE:g} on the mesh, got min "
+                         f"{q_true.values.min():g}")
+    grids = [TimeGrid(T, n_steps) for T in T_values]
     rng = np.random.default_rng(seed)
     perturbed = []
-    while len(perturbed) < n_perturbations:
-        bump = _smooth_bump(mesh, rng, amplitude)
-        q_vals = np.clip(q_true.values + bump, bounds[0], bounds[1])
-        if np.linalg.norm(q_vals - q_true.values) == 0.0:
-            continue
-        perturbed.append(Field(mesh, VH, q_vals))
+    for _ in range(n_perturbations):
+        p = replace(problem, q_true=_bumped(problem.q_true, mesh.dim, rng))
+        dq = fem.interpolate(mesh, VH, p.q_true).values - q_true.values
+        perturbed.append((p, fem.norm_l2(Field(mesh, VH, dq))))
 
     out = {}
-    for T in T_values:
-        grid = TimeGrid(T, n_steps)
-        u_true = timestep.solve_forward(mesh, q_true, problem.u0, problem.f,
-                                        alpha, grid).terminal
+    for grid in grids:
+        u_true = solve_truth(problem, mesh, alpha, grid).terminal
         quotients = []
-        for q in perturbed:
-            u = timestep.solve_forward(mesh, q, problem.u0, problem.f,
-                                       alpha, grid).terminal
-            dq = fem.norm_l2(Field(mesh, VH, q.values - q_true.values))
+        for p, dq in perturbed:
+            u = solve_truth(p, mesh, alpha, grid).terminal
             du = fem.seminorm_h1(Field(mesh, XH, u.values - u_true.values))
             quotients.append(dq / math.sqrt(du) if du > 0.0 else math.inf)
-        out[T] = (quotients, max(quotients))
+        out[grid.T] = (quotients, max(quotients))
     return out
 
 
-def _smooth_bump(mesh: Mesh, rng, amplitude: float) -> np.ndarray:
-    """Wide Gaussian bump with random center, width and sign.
+def _bumped(q, dim: int, rng):
+    """The coefficient q plus a wide Gaussian bump with random center, width
+    and sign, as a function of the coordinates.
 
     Widths are kept large so the perturbation is dominated by low spatial
     modes: high-frequency coefficient content equilibrates the state at
     any positive time and would mask the small-T stability degradation
     the probe is after.
     """
-    if mesh.dim == 1:
-        center = rng.uniform(0.3, 0.7)
+    if dim == 1:
+        center = (rng.uniform(0.3, 0.7),)
         width = rng.uniform(0.25, 0.45)
-        r2 = (mesh.vertices[:, 0] - center) ** 2
     else:
         radius = 0.4 * math.sqrt(rng.uniform(0.0, 1.0))
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        cx, cy = radius * math.cos(angle), radius * math.sin(angle)
+        center = (radius * math.cos(angle), radius * math.sin(angle))
         width = rng.uniform(0.4, 0.7)
-        r2 = (mesh.vertices[:, 0] - cx) ** 2 + (mesh.vertices[:, 1] - cy) ** 2
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * amplitude * np.exp(-0.5 * r2 / width ** 2)
+
+    def bumped(*coords):
+        r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
+        return (fem._eval_at(q, np.column_stack(coords))
+                + sign * BUMP_AMPLITUDE * np.exp(-0.5 * r2 / width ** 2))
+    return bumped

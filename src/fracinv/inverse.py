@@ -148,17 +148,17 @@ def smooth_direction(mesh: Mesh, raw_gradient: Field) -> Field:
     return Field(mesh, VH, fem.geometry(mesh).riesz_solver.solve(-raw_gradient.values))
 
 
-def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None,
-                 k: int) -> Field:
+def cg_direction(g_k: Field, g_prev: Field | None, d_prev: Field | None) -> Field:
     """Fletcher-Reeves update d_k = beta_k d_{k-1} + g_k with L2 norms of the
-    smoothed directions; restarts (beta = 0) at k = 0 or on a vanished g_prev.
+    smoothed directions; restarts (beta = 0) without a previous direction
+    (the first iteration) or on a vanished g_prev.
 
     The recursion also restarts whenever beta would exceed one, i.e. when
     the smoothed gradient norm failed to decrease: past that point the
     two-term recursion amplifies the stale direction at every step and the
     iteration stagnates far from the discrepancy target.
     """
-    if k == 0 or g_prev is None or d_prev is None:
+    if g_prev is None or d_prev is None:
         return g_k
     mass = fem.geometry(g_k.mesh).mass[g_k.space]
     denom = float(g_prev.values @ (mass @ g_prev.values))
@@ -237,7 +237,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
             converged, reason = True, "gradient"
             break
 
-        d = cg_direction(g, g_prev, d_prev, k)
+        d = cg_direction(g, g_prev, d_prev)
         accepted = None
         for direction in (d, g) if d is not g else (d,):
             try:

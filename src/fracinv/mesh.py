@@ -113,12 +113,12 @@ def _derive_boundary(dim, cells, n_vertices):
     return boundary
 
 
-def build_mesh(dim, vertices, cells, domain=None, rho_max=DEFAULT_RHO_MAX) -> Mesh:
+def build_mesh(dim, vertices, cells, domain=None) -> Mesh:
     """Assemble and validate a Mesh, normalizing cell orientation.
 
     Cells with negative signed measure are flipped; zero-measure cells,
     dangling vertices, non-face-to-face connectivity and quasi-uniformity
-    ratios above ``rho_max`` raise MeshValidationError.
+    ratios above DEFAULT_RHO_MAX raise MeshValidationError.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float).reshape(-1, dim)
     cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, dim + 1)
@@ -135,9 +135,9 @@ def build_mesh(dim, vertices, cells, domain=None, rho_max=DEFAULT_RHO_MAX) -> Me
     boundary = _derive_boundary(dim, cells, len(vertices))
     diam = _diameters(dim, vertices, cells)
     ratio = diam.max() / diam.min()
-    if ratio > rho_max:
+    if ratio > DEFAULT_RHO_MAX:
         raise MeshValidationError(
-            f"quasi-uniformity ratio {ratio:.3f} exceeds limit {rho_max:.3f}")
+            f"quasi-uniformity ratio {ratio:.3f} exceeds limit {DEFAULT_RHO_MAX:.3f}")
     return Mesh(dim, vertices, cells, boundary, float(diam.max()), domain)
 
 
@@ -175,12 +175,10 @@ def generate_disk_mesh(target_h: float) -> Mesh:
         cells.append((0, outer0[j], outer0[(j + 1) % 6]))
     for k in range(1, m):
         cells.extend(_zip_rings(rings[k], rings[k + 1]))
-    mesh = build_mesh(2, np.asarray(verts), np.asarray(cells), domain="disk")
     # outermost ring is exact to rounding; snap to kill the last few ulps
-    vertices = mesh.vertices.copy()
-    rad = np.linalg.norm(vertices[mesh.boundary], axis=1)
-    vertices[mesh.boundary] /= rad[:, None]
-    return build_mesh(2, vertices, mesh.cells, domain="disk")
+    vertices = np.asarray(verts)
+    vertices[rings[m]] /= np.linalg.norm(vertices[rings[m]], axis=1)[:, None]
+    return build_mesh(2, vertices, np.asarray(cells), domain="disk")
 
 
 def _zip_rings(inner, outer):
@@ -214,7 +212,7 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_mesh(path, rho_max=DEFAULT_RHO_MAX) -> Mesh:
+def load_mesh(path) -> Mesh:
     """Read a mesh from the plain-text format, validating as it goes.
 
     Malformed lines raise MeshFormatError with the offending line number;
@@ -283,7 +281,7 @@ def load_mesh(path, rho_max=DEFAULT_RHO_MAX) -> Mesh:
     signed = _signed_measures(dim, vertices, cells)
     if signed.min() <= 0.0:
         raise MeshValidationError("file contains a cell with nonpositive signed measure")
-    mesh = build_mesh(dim, vertices, cells, domain=domain, rho_max=rho_max)
+    mesh = build_mesh(dim, vertices, cells, domain=domain)
     if not np.array_equal(mesh.boundary, flags):
         raise MeshValidationError("boundary flags do not match facet structure")
     return mesh

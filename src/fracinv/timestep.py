@@ -289,13 +289,12 @@ def _forward_system(forward: Trajectory, grid: TimeGrid):
     return forward.solver
 
 
-def save_trajectory(traj: Trajectory, directory, name="u", mesh_file="") -> None:
-    """Dump every state as one field file per step index."""
+def save_trajectory(traj: Trajectory, directory, mesh_file="") -> None:
+    """Dump every state U^n as one field file ``u_<n>.field`` per step index."""
     from pathlib import Path
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(traj.grid.N))
     for n in range(traj.grid.N + 1):
-        fem.save_field(traj.field(n), out / f"{name}_{n:0{width}d}.field",
-                       name=f"{name}@t={traj.grid.times[n]:.12g}",
-                       mesh_file=mesh_file)
+        fem.save_field(traj.field(n), out / f"u_{n:0{width}d}.field",
+                       name=f"u@t={traj.grid.times[n]:.12g}", mesh_file=mesh_file)

@@ -1,6 +1,6 @@
 import pytest
 
-from fracinv import experiments
+from fracinv import experiments, timestep
 from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, ConfigError, main,
                          parse_config_text, resolve_config)
 
@@ -374,3 +374,27 @@ def test_invert_matches_the_sweep(tmp_path, capsys):
                  "--set", f"inversion.gamma={config.gamma_for(0)!r}"]) == EXIT_OK
     assert (_field_lines(tmp_path / "inv" / "q_reconstructed.field")
             == _field_lines(tmp_path / "sweep" / "alpha0.5_T1_eps0.01_q.field"))
+
+
+def test_verify_stability_perturbs_a_large_coefficient(tmp_path, capsys):
+    # the bumps ride on q = 10 itself, not on a clip of it to fixed bounds
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["verify", cfg_path, "--set", "problem.q=10",
+                 "--set", "verify.checks=stability"]) == EXIT_OK
+    assert "T=1e-05: 2.682, T=5: 5.841 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("problem.q=0.05", "problem.q"),  # a bump of amplitude 0.1 could make q <= 0
+    ("verify.stability_T_large=nan", "stability_T_large")])
+def test_verify_stability_rejects_bad_input_before_any_solve(tmp_path, capsys,
+                                                             monkeypatch, setting,
+                                                             message):
+    def no_solve(*args):
+        raise AssertionError("rejected stability input reached a solve")
+    monkeypatch.setattr(timestep, "solve_forward", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["verify", cfg_path, "--set", setting,
+                 "--set", "verify.checks=stability"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,10 +1,12 @@
 """The demos take minutes, so they are checked without running them: every
 name a demo imports from fracinv, or reads off a fracinv module it has
-imported (``fi.<name>``, ``fem.<name>``), must still exist.  The README's
-example config and Python blocks are held to the same rule."""
+imported (``fi.<name>``, ``fem.<name>``), must still exist, and every call
+of such a name must bind to the callee's signature.  The README's example
+config and Python blocks are held to the same rule."""
 
 import ast
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -23,8 +25,9 @@ def readme_blocks(language):
 
 
 def fracinv_names(tree):
-    """(module, name) for each name the parsed script takes from fracinv."""
-    modules, names = {}, []
+    """{(module, name): calls} for each name the parsed script takes from
+    fracinv, with the call nodes that call it directly."""
+    modules, imported = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -35,14 +38,45 @@ def fracinv_names(tree):
                 node.module.split(".")[0] == "fracinv":
             module = importlib.import_module(node.module)
             for alias in node.names:
-                names.append((module, alias.name))
+                imported[alias.asname or alias.name] = (module, alias.name)
                 if isinstance(getattr(module, alias.name, None), types.ModuleType):
                     modules[alias.asname or alias.name] = getattr(module, alias.name)
-    for node in ast.walk(tree):
+
+    def resolve(node):
+        if isinstance(node, ast.Name) and node.id in imported:
+            return imported[node.id]
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
-            names.append((modules[node.value.id], node.attr))
+            return modules[node.value.id], node.attr
+        return None
+
+    names = {key: [] for key in imported.values()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and resolve(node):
+            names.setdefault(resolve(node), [])
+        if isinstance(node, ast.Call) and resolve(node.func):
+            names.setdefault(resolve(node.func), []).append(node)
     return names
+
+
+def misuses(names):
+    """Each name fracinv no longer has, and each call that does not bind to
+    its callee's signature."""
+    found = []
+    for (module, name), calls in names.items():
+        if not hasattr(module, name):
+            found.append(f"{module.__name__}.{name} is gone")
+            continue
+        for call in calls:
+            if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(kw.arg is None for kw in call.keywords)):
+                continue  # the argument count is only known at run time
+            try:
+                inspect.signature(getattr(module, name)).bind(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords})
+            except TypeError as exc:
+                found.append(f"line {call.lineno}: {module.__name__}.{name}: {exc}")
+    return found
 
 
 def test_there_are_demos():
@@ -53,9 +87,7 @@ def test_there_are_demos():
 def test_demo_names_resolve(path):
     names = fracinv_names(ast.parse(path.read_text(), filename=str(path)))
     assert names, f"{path.name} takes nothing from fracinv"
-    missing = [f"{module.__name__}.{name}" for module, name in names
-               if not hasattr(module, name)]
-    assert not missing, f"{path.name} uses names fracinv no longer has: {missing}"
+    assert not misuses(names), f"{path.name} misuses fracinv: {misuses(names)}"
 
 
 def test_readme_config_resolves():
@@ -67,7 +99,15 @@ def test_readme_config_resolves():
 def test_readme_python_names_resolve():
     blocks = readme_blocks("python")
     assert blocks, "README has no Python example"
-    names = [name for block in blocks for name in fracinv_names(ast.parse(block))]
-    missing = [f"{module.__name__}.{name}" for module, name in names
-               if not hasattr(module, name)]
-    assert names and not missing, f"README uses names fracinv no longer has: {missing}"
+    names = [fracinv_names(ast.parse(block)) for block in blocks]
+    assert any(names), "README's Python examples take nothing from fracinv"
+    found = [misuse for block_names in names for misuse in misuses(block_names)]
+    assert not found, f"README misuses fracinv: {found}"
+
+
+def test_a_call_that_no_longer_binds_is_caught():
+    # solve_truth once took (problem, mesh, alpha, T, n_steps)
+    names = fracinv_names(ast.parse(
+        "from fracinv.experiments import solve_truth\n"
+        "solve_truth(problem, fine, 0.5, 1.0, 1280)\n"))
+    assert misuses(names) and "too many positional" in misuses(names)[0]

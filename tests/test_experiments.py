@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -48,7 +49,7 @@ def test_gamma_rule():
 def synthesize(cfg, alpha, T, eps, seed):
     """Fine-grid truth, coarse transfer and seeded noise, as run_sweep does."""
     problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, alpha, T, cfg.n_steps_ref)
+    u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, cfg.n_steps_ref)).terminal
     u_ref = transfer_terminal(u_fine, coarse)
     z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed)
     return z, delta, u_ref
@@ -73,7 +74,7 @@ def test_synthesize_noise_scale():
     # delta relative to ||u||_L2 tracks eps ||u||_Linf / ||u||_L2 within 20%
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
     problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, 0.5, 1.0, cfg.n_steps_ref)
+    u_fine = solve_truth(problem, fine, 0.5, TimeGrid(1.0, cfg.n_steps_ref)).terminal
     u_ref = transfer_terminal(u_fine, coarse)
     eps = 1e-2
     z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed=3)
@@ -89,7 +90,7 @@ def test_synthesize_noise_scale():
 def test_delta_equals_mass_norm_of_noise():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
     problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, 0.5, 1.0, cfg.n_steps_ref)
+    u_fine = solve_truth(problem, fine, 0.5, TimeGrid(1.0, cfg.n_steps_ref)).terminal
     u_ref = transfer_terminal(u_fine, coarse)
     z, delta = add_noise(u_ref, fem.norm_linf(u_fine), 5e-3, seed=11)
     noise = Field(coarse, XH, z.values - u_ref.values)
@@ -252,6 +253,14 @@ def test_stability_quotient_contrast():
                                seed=0, h=1.0 / 50.0, n_steps=30)
     assert table[1e-5][1] >= 5.0 * table[5.0][1]
     assert all(len(table[T][0]) == 6 for T in table)
+
+
+def test_stability_quotient_perturbs_a_large_coefficient():
+    # the bumps ride on the coefficient whatever its size, so no two of the
+    # ten perturbed coefficients coincide
+    problem = dataclasses.replace(get_problem("1d-sine"), q_true=10.0)
+    table = stability_quotient(problem, 0.5, (5.0,), 10, seed=0, h=0.05, n_steps=8)
+    assert len(set(table[5.0][0])) == 10
 
 
 def test_stability_quotient_comparable_large_T():

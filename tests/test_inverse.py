@@ -139,20 +139,20 @@ class TestCgDirection:
         self.d = Field(self.mesh, VH, rng.standard_normal(self.mesh.n_vertices))
 
     def test_first_iteration_is_gradient(self):
-        assert cg_direction(self.g, None, None, 0) is self.g
+        assert cg_direction(self.g, None, None) is self.g
 
     def test_equal_gradients_gives_beta_one(self):
-        d = cg_direction(self.g, self.g, self.d, 3)
+        d = cg_direction(self.g, self.g, self.d)
         np.testing.assert_allclose(d.values, self.d.values + self.g.values,
                                    rtol=1e-12)
 
     def test_zero_previous_gradient_restarts(self):
         zero = Field(self.mesh, VH, np.zeros(fem.n_dofs(self.mesh, VH)))
-        assert cg_direction(self.g, zero, self.d, 2) is self.g
+        assert cg_direction(self.g, zero, self.d) is self.g
 
     def test_growing_gradient_restarts(self):
         small = Field(self.mesh, VH, 0.1 * self.g.values)
-        assert cg_direction(self.g, small, self.d, 2) is self.g
+        assert cg_direction(self.g, small, self.d) is self.g
 
 
 class TestStepSize:
