@@ -387,6 +387,15 @@ def cmd_verify(cfg) -> int:
         raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
                           f"got {ver['checks']!r}")
     problem, alpha, h = _problem(cfg), _alpha(cfg), cfg["mesh"]["h"]
+    # the later checks' input is checked before the first check marches
+    if "positivity" in checks:
+        grid = _grid(cfg)
+    if "stability" in checks:
+        T_pair = (ver["stability_T_small"], ver["stability_T_large"])
+        stability = (T_pair, ver["n_perturbations"], ver["seed"], h, cfg["time"]["n_steps"])
+        keys = ("problem.q, mesh.h, time.n_steps, verify.stability_T_small, "
+                "stability_T_large, n_perturbations, seed")
+        _check(keys, experiments.stability_setup, problem, *stability)
     tables, lines = [], []  # every check runs before anything is written
     if "decay" in checks:
         rows, ratio = _check(
@@ -395,18 +404,12 @@ def cmd_verify(cfg) -> int:
         tables.append(("decay.csv", "t,weighted_w1inf", rows, "%.18e"))
         lines.append(f"verify decay: max/min weighted ratio over [1, T] = {ratio:.3f}")
     if "positivity" in checks:
-        min_val, cells = _check(
-            "mesh.h, problem.T, time.n_steps", experiments.check_positivity, problem,
-            alpha, _require(cfg, "problem", "T"), cfg["time"]["n_steps"], h)
+        min_val, cells = _check("mesh.h", experiments.check_positivity, problem,
+                                alpha, grid.T, grid.N, h)
         tables.append(("positivity.csv", "cell_weight", cells, "%.18e"))
         lines.append(f"verify positivity: min over cells = {min_val:.6e}")
     if "stability" in checks:
-        T_pair = (ver["stability_T_small"], ver["stability_T_large"])
-        table = _check(
-            "problem.q, mesh.h, time.n_steps, verify.stability_T_small, "
-            "stability_T_large, n_perturbations, seed", experiments.stability_quotient,
-            problem, alpha, T_pair, ver["n_perturbations"], ver["seed"], h,
-            cfg["time"]["n_steps"])
+        table = _check(keys, experiments.stability_quotient, problem, alpha, *stability)
         rows = [(T, mx) for T, (_, mx) in table.items()]
         tables.append(("stability.csv", "T,max_quotient", rows, "%.17g"))
         small, large = table[T_pair[0]][1], table[T_pair[1]][1]

@@ -279,14 +279,14 @@ def verify_decay(problem: Problem, alpha: float, T: float, n_steps: int,
     [1, T]), probing boundedness of the weighted quantity.
     """
     grid = TimeGrid(T, n_steps)
-    traj = solve_truth(problem, problem_mesh(problem, h), alpha, grid)
-    derivs = timestep.discrete_frac_derivative(traj)
     times = grid.times[1:]
-    weighted = np.array([t ** (alpha / 2.0) * fem.seminorm_w1inf(dn)
-                         for t, dn in zip(times, derivs)])
     mask = (times >= 1.0) & (times <= T)  # tau * N can round above T
     if not mask.any():
         raise ValueError("decay window [1, T] contains no time steps")
+    traj = solve_truth(problem, problem_mesh(problem, h), alpha, grid)
+    derivs = timestep.discrete_frac_derivative(traj)
+    weighted = np.array([t ** (alpha / 2.0) * fem.seminorm_w1inf(dn)
+                         for t, dn in zip(times, derivs)])
     ratio = float(weighted[mask].max() / weighted[mask].min())
     rows = np.column_stack([times, weighted])
     return rows, ratio
@@ -321,6 +321,29 @@ def stability_quotient(problem: Problem, alpha: float, T_values,
     coefficient must exceed the amplitude on the mesh, so that every
     perturbed coefficient stays positive.
     """
+    mesh, grids, perturbed = stability_setup(problem, T_values, n_perturbations,
+                                             seed, h, n_steps)
+    out = {}
+    for grid in grids:
+        u_true = solve_truth(problem, mesh, alpha, grid).terminal
+        quotients = []
+        for p, dq in perturbed:
+            u = solve_truth(p, mesh, alpha, grid).terminal
+            du = fem.seminorm_h1(Field(mesh, XH, u.values - u_true.values))
+            quotients.append(dq / math.sqrt(du) if du > 0.0 else math.inf)
+        out[grid.T] = (quotients, max(quotients))
+    return out
+
+
+def stability_setup(problem: Problem, T_values, n_perturbations: int, seed: int,
+                    h: float, n_steps: int):
+    """What :func:`stability_quotient` computes before its first march: the
+    mesh, the time grids, and each perturbed problem with the L2 norm of its
+    coefficient change.
+
+    Raises ValueError on an input the probe rejects, so a caller can check
+    the input before anything is solved.
+    """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
     mesh = problem_mesh(problem, h)
@@ -336,17 +359,7 @@ def stability_quotient(problem: Problem, alpha: float, T_values,
         p = replace(problem, q_true=_bumped(problem.q_true, mesh.dim, rng))
         dq = fem.interpolate(mesh, VH, p.q_true).values - q_true.values
         perturbed.append((p, fem.norm_l2(Field(mesh, VH, dq))))
-
-    out = {}
-    for grid in grids:
-        u_true = solve_truth(problem, mesh, alpha, grid).terminal
-        quotients = []
-        for p, dq in perturbed:
-            u = solve_truth(p, mesh, alpha, grid).terminal
-            du = fem.seminorm_h1(Field(mesh, XH, u.values - u_true.values))
-            quotients.append(dq / math.sqrt(du) if du > 0.0 else math.inf)
-        out[grid.T] = (quotients, max(quotients))
-    return out
+    return mesh, grids, perturbed
 
 
 def _bumped(q, dim: int, rng):

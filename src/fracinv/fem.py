@@ -10,7 +10,10 @@ Gauss (1D) / 3-point edge-midpoint (2D) quadrature.
 
 What no coefficient changes (interior dofs, cell measures, basis
 gradients, sparsity patterns, mass matrices and their factorizations) is
-built once per mesh, by :func:`geometry`.
+built once per mesh, by :func:`geometry`.  The load vector of the source f
+and the start vector P_h u0 are computed once per mesh and (f, u0) pair, by
+:func:`march_data`: f and u0 are scalars or pure functions of the
+coordinates, and each mesh keeps one such pair.
 """
 
 from __future__ import annotations
@@ -98,9 +101,13 @@ class Geometry:
         return self.measures[:, None, None] * (ref / ((self.dim + 1) * (self.dim + 2)))
 
     def local_stiffness(self, coeff_values) -> np.ndarray:
-        coeff = coeff_values[self.cells].mean(axis=1)
-        return np.einsum("c,c,cid,cjd->cij", coeff, self.measures,
-                         self.gradients, self.gradients)
+        # sum over d of (coeff |c| g_id) g_jd: einsum's products, in its order
+        g = self.gradients
+        wg = (coeff_values[self.cells].mean(axis=1) * self.measures)[:, None, None] * g
+        local = wg[:, :, None, 0] * g[:, None, :, 0]
+        for d in range(1, self.dim):
+            local += wg[:, :, None, d] * g[:, None, :, d]
+        return local
 
     def scatter(self, space, local) -> sp.csr_matrix:
         entries, slots, indices, indptr = self._patterns[space]
@@ -250,6 +257,24 @@ def l2_project(mesh: Mesh, f) -> Field:
     """L2 projection onto X_h: solve M x = (f, phi_i)."""
     x = geometry(mesh).mass_solver.solve(load_vector(mesh, XH, f))
     return Field(mesh, XH, x)
+
+
+def march_data(mesh: Mesh, f, u0) -> tuple[np.ndarray, np.ndarray]:
+    """The X_h load vector of ``f`` and the start vector P_h u0 of a march,
+    as read-only arrays.
+
+    ``f`` and ``u0`` are scalars or pure functions of the coordinates.  The
+    mesh keeps one slot, for the last pair asked for (matched by identity),
+    so the marches of an inversion integrate them once; another pair
+    replaces it.
+    """
+    slot = mesh.derived.get("march")
+    if slot is None or slot[0] is not f or slot[1] is not u0:
+        load = load_vector(mesh, XH, f)
+        start = l2_project(mesh, u0).values
+        load.flags.writeable = start.flags.writeable = False
+        slot = mesh.derived["march"] = (f, u0, load, start)
+    return slot[2], slot[3]
 
 
 def norm_l2(v: Field) -> float:

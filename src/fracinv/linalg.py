@@ -9,7 +9,6 @@ right-hand sides do not interfere.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotSpdError
@@ -38,7 +37,7 @@ def factorize(matrix) -> SpdSolver:
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    asym = sp.csr_matrix(matrix - matrix.T)
+    asym = matrix - matrix.T
     if asym.nnz and np.abs(asym.data).max() > 1e-12 * max(scale, 1e-300):
         raise NotSpdError("matrix is not symmetric")
     if matrix.shape[0] and matrix.diagonal().min() <= 0.0:

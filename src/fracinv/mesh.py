@@ -38,8 +38,9 @@ class Mesh:
         "interval", "disk", or None for meshes of unknown provenance.
     derived : dict
         Data other modules derive from the mesh on first use (the P1
-        geometry of ``fem.geometry``), kept here so that it lives exactly
-        as long as the mesh.
+        geometry of ``fem.geometry`` and the one march-data slot of
+        ``fem.march_data``), kept here so that it lives exactly as long as
+        the mesh.
     """
 
     dim: int

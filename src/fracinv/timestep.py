@@ -128,14 +128,15 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
 
     Each step solves (tau**-alpha * M + K(q)) U^n = F + tau**-alpha *
     M (s_n U^0 - sum_{j=1..n} b_j U^{n-j}) with s_n the partial weight sum.
+    The load F and P_h u0 come from :func:`fem.march_data`, so marches that
+    share the mesh and the (f, u0) objects integrate them once.
     """
     b = cq_weights(alpha, grid.N)
     s = np.cumsum(b)
     mass = fem.geometry(mesh).mass[XH]
     scale = grid.tau ** -alpha
     solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
-    load = fem.load_vector(mesh, XH, f)
-    start = fem.l2_project(mesh, u0).values
+    load, start = fem.march_data(mesh, f, u0)
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
     states[0] = start
     _march(states, b, lambda n, hist: solver.solve(

@@ -394,7 +394,22 @@ def test_verify_stability_rejects_bad_input_before_any_solve(tmp_path, capsys,
         raise AssertionError("rejected stability input reached a solve")
     monkeypatch.setattr(timestep, "solve_forward", no_solve)
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
-    assert main(["verify", cfg_path, "--set", setting,
-                 "--set", "verify.checks=stability"]) == EXIT_CONFIG
+    # the stability check alone, then all three checks, the default
+    for checks in (["--set", "verify.checks=stability"], []):
+        assert main(["verify", cfg_path, "--set", setting, *checks]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("problem.T=nan", "problem.T"),  # read by the positivity check only
+    ("verify.decay_T=0.5", "decay_T")])  # no step in the decay window [1, T]
+def test_verify_rejects_bad_input_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                   setting, message):
+    def no_solve(*args):
+        raise AssertionError("rejected verify input reached a solve")
+    monkeypatch.setattr(timestep, "solve_forward", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["verify", cfg_path, "--set", setting]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -58,6 +58,19 @@ def test_stiffness_full_row_sums_vanish():
     assert np.abs(np.asarray(k.sum(axis=1))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("mesh", [generate_interval_mesh(17), generate_disk_mesh(0.1)],
+                         ids=["interval", "disk"])
+def test_local_stiffness_equals_einsum(mesh):
+    geo = fem.geometry(mesh)
+    rng = np.random.default_rng(5)
+    # a positive coefficient and a signed search direction
+    for coeff in (0.5 + rng.random(mesh.n_vertices), rng.standard_normal(mesh.n_vertices)):
+        cell = coeff[mesh.cells].mean(axis=1)
+        oracle = np.einsum("c,c,cid,cjd->cij", cell, geo.measures,
+                           geo.gradients, geo.gradients)
+        assert np.array_equal(geo.local_stiffness(coeff), oracle)
+
+
 def test_stiffness_rejects_nonpositive_coefficient():
     m = generate_interval_mesh(4)
     q = Field(m, VH, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))

@@ -42,6 +42,15 @@ def test_nonsymmetric_matrix_rejected():
         linalg.factorize(a)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_symmetry_threshold_is_relative(scale):
+    def skewed(rel):
+        return sp.csr_matrix(scale * np.array([[4.0, 1.0 + rel], [1.0, 4.0]]))
+    linalg.factorize(skewed(1e-13))
+    with pytest.raises(NotSpdError, match="not symmetric"):
+        linalg.factorize(skewed(1e-11))
+
+
 def test_random_spd_residual_contract():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((50, 50))

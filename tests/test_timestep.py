@@ -153,6 +153,58 @@ class TestForward:
             solve_forward(mesh, q, u0_parabola, 1.0, 0.5, TimeGrid(1.0, 4))
 
 
+class TestMarchData:
+    def test_marches_on_one_mesh_integrate_once(self, monkeypatch):
+        calls = []
+        original = fem.load_vector
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fem, "load_vector", counting)
+        mesh = generate_interval_mesh(16)
+        for alpha in (0.25, 0.5, 1.0):
+            solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0, alpha,
+                          TimeGrid(1.0, 5))
+        # one for the load, one inside the projection of u0
+        assert len(calls) == 2
+
+    def test_switching_data_gives_a_fresh_mesh_bits(self):
+        def source(x):
+            return np.cos(x)
+
+        mesh = generate_interval_mesh(24)
+        grid = TimeGrid(1.0, 6)
+        for f, u0 in ((1.0, u0_parabola), (source, u0_parabola), (source, 0.5),
+                      (1.0, u0_parabola)):
+            fresh = generate_interval_mesh(24)
+            expect = solve_forward(fresh, unit_coefficient(fresh), u0, f, 0.5, grid)
+            got = solve_forward(mesh, unit_coefficient(mesh), u0, f, 0.5, grid)
+            assert np.array_equal(got.values, expect.values)
+
+    def test_cached_arrays_are_read_only(self):
+        mesh = generate_interval_mesh(8)
+        for array in fem.march_data(mesh, 1.0, u0_parabola):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_mesh_is_freed_without_the_collector(self):
+        from fracinv.experiments import solve_truth
+        from fracinv.problems import get_problem, problem_mesh
+        problem = get_problem("1d-sine")
+        mesh = problem_mesh(problem, 0.05)
+        gc.disable()
+        try:
+            traj = solve_truth(problem, mesh, 0.5, TimeGrid(1.0, 4))
+            assert "march" in mesh.derived
+            freed = weakref.ref(mesh)
+            del traj, mesh
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
 class TestSensitivity:
     def setup_method(self):
         self.mesh = generate_interval_mesh(40)
