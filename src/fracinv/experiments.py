@@ -169,8 +169,7 @@ def add_noise(u_coarse: Field, linf_ref: float, eps: float, seed: int):
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(u_coarse.values.shape)
     noise = eps * linf_ref * xi
-    mass = fem.geometry(u_coarse.mesh).mass[XH]
-    delta = math.sqrt(max(float(noise @ (mass @ noise)), 0.0))
+    delta = fem.norm_l2(Field(u_coarse.mesh, XH, noise))
     return Field(u_coarse.mesh, XH, u_coarse.values + noise), delta
 
 

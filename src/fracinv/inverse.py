@@ -214,7 +214,6 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
     steepest descent.  Model steps come from :func:`step_size`.
     """
     mesh = spec.mesh
-    mass_full = fem.geometry(mesh).mass[VH]
     q = project_admissible(spec.q_init, spec.c0, spec.c1)
     traj, (J, misfit, penalty, residual) = _evaluate(spec, q)
 
@@ -232,7 +231,7 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
                 converged, reason = True, "discrepancy"
                 break
         g = smooth_direction(mesh, _raw_gradient(spec, q, traj, residual))
-        grad_norm = math.sqrt(max(float(g.values @ (mass_full @ g.values)), 0.0))
+        grad_norm = fem.norm_l2(g)
         if spec.stop.noise_level is None and grad_norm <= spec.stop.gradient_tol:
             converged, reason = True, "gradient"
             break

@@ -83,34 +83,34 @@ def _signed_measures(dim, vertices, cells):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _diameters(dim, vertices, cells):
-    if dim == 1:
-        return np.abs(vertices[cells[:, 1], 0] - vertices[cells[:, 0], 0])
-    d01 = np.linalg.norm(vertices[cells[:, 1]] - vertices[cells[:, 0]], axis=1)
-    d12 = np.linalg.norm(vertices[cells[:, 2]] - vertices[cells[:, 1]], axis=1)
-    d20 = np.linalg.norm(vertices[cells[:, 0]] - vertices[cells[:, 2]], axis=1)
-    return np.maximum(d01, np.maximum(d12, d20))
+def _diameters(vertices, cells):
+    """Largest distance between two vertices of each cell."""
+    k = cells.shape[1]
+    return np.max([np.linalg.norm(vertices[cells[:, i]] - vertices[cells[:, j]], axis=1)
+                   for i in range(k) for j in range(i + 1, k)], axis=0)
 
 
-def _derive_boundary(dim, cells, n_vertices):
-    """Boundary vertex mask from facet incidence; checks the face-to-face property."""
-    if dim == 1:
-        counts = np.bincount(cells.ravel(), minlength=n_vertices)
-        if counts.min() == 0:
-            raise MeshValidationError("mesh has vertices not referenced by any cell")
-        if counts.max() > 2:
-            raise MeshValidationError("mesh is not face-to-face: vertex shared by >2 cells")
-        return counts == 1
-    edges = np.sort(cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    if counts.max() > 2:
-        raise MeshValidationError("mesh is not face-to-face: edge shared by >2 cells")
-    referenced = np.zeros(n_vertices, dtype=bool)
-    referenced[cells.ravel()] = True
-    if not referenced.all():
+def _derive_boundary(cells, n_vertices):
+    """Boundary vertex mask from facet incidence; checks the face-to-face property.
+
+    A facet is a cell's vertices less one (a vertex in 1D, an edge in 2D),
+    keyed by its sorted indices in base n_vertices.  In the sorted keys a
+    facet in three cells shows as equal keys two apart, and a boundary
+    facet, which lies in one cell, as a key equal to neither neighbour.
+    """
+    k = cells.shape[1]
+    others = [[j for j in range(k) if j != i] for i in range(k)]
+    facets = np.sort(cells[:, others], axis=2).reshape(-1, k - 1)
+    shape = (n_vertices,) * (k - 1)
+    keys = np.sort(np.ravel_multi_index(facets.T, shape))
+    if (keys[2:] == keys[:-2]).any():
+        raise MeshValidationError("mesh is not face-to-face: facet shared by >2 cells")
+    if np.bincount(cells.ravel(), minlength=n_vertices).min() == 0:
         raise MeshValidationError("mesh has vertices not referenced by any cell")
+    pad = np.concatenate(([-1], keys, [-1]))
+    once = (keys != pad[:-2]) & (keys != pad[2:])
     boundary = np.zeros(n_vertices, dtype=bool)
-    boundary[uniq[counts == 1].ravel()] = True
+    boundary[np.ravel(np.unravel_index(keys[once], shape))] = True
     return boundary
 
 
@@ -133,8 +133,8 @@ def build_mesh(dim, vertices, cells, domain=None) -> Mesh:
         signed = np.abs(signed)
     if signed.size == 0 or signed.min() <= 0.0:
         raise MeshValidationError("mesh contains a cell with nonpositive measure")
-    boundary = _derive_boundary(dim, cells, len(vertices))
-    diam = _diameters(dim, vertices, cells)
+    boundary = _derive_boundary(cells, len(vertices))
+    diam = _diameters(vertices, cells)
     ratio = diam.max() / diam.min()
     if ratio > DEFAULT_RHO_MAX:
         raise MeshValidationError(
@@ -216,9 +216,10 @@ def save_mesh(mesh: Mesh, path) -> None:
 def load_mesh(path) -> Mesh:
     """Read a mesh from the plain-text format, validating as it goes.
 
-    Malformed lines raise MeshFormatError with the offending line number;
-    structurally inconsistent data (indices out of range, nonpositively
-    oriented cells, wrong boundary flags) raises MeshValidationError.
+    Malformed lines raise MeshFormatError with the offending line number.
+    The data must pass :func:`build_mesh` unchanged: any mesh it rejects, a
+    negatively oriented cell, or boundary flags other than the derived
+    ones raise MeshValidationError.
     """
     domain = None
     rows = []
@@ -276,13 +277,11 @@ def load_mesh(path) -> Mesh:
         raise MeshFormatError(f"line {ln}: expected {n_v} boundary flags (0/1)")
     flags = np.array([p == "1" for p in parts])
 
-    if cells.size and (cells.min() < 0 or cells.max() >= n_v):
-        raise MeshValidationError("cell vertex index out of range")
-    # files always store positively oriented cells; reversed cells mean corruption
-    signed = _signed_measures(dim, vertices, cells)
-    if signed.min() <= 0.0:
-        raise MeshValidationError("file contains a cell with nonpositive signed measure")
     mesh = build_mesh(dim, vertices, cells, domain=domain)
+    # files always store positively oriented cells; a cell build_mesh had to
+    # flip means corruption
+    if not np.array_equal(mesh.cells, cells):
+        raise MeshValidationError("file contains a cell with negative signed measure")
     if not np.array_equal(mesh.boundary, flags):
         raise MeshValidationError("boundary flags do not match facet structure")
     return mesh

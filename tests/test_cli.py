@@ -1,8 +1,9 @@
 import pytest
 
 from fracinv import experiments, timestep
-from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, ConfigError, main,
-                         parse_config_text, resolve_config)
+from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
+                         main, parse_config_text, resolve_config)
+from fracinv.errors import InvalidCoefficientError
 
 BASE = """
 [problem]
@@ -413,3 +414,62 @@ def test_verify_rejects_bad_input_before_any_solve(tmp_path, capsys, monkeypatch
     assert main(["verify", cfg_path, "--set", setting]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config_text, flags, message", [
+    pytest.param("[problem]\nalpha 0.5\n", [], "line 2: expected 'key = value'",
+                 id="line-without-equals"),
+    pytest.param("[problem]\nalpha = half\n", [], "[problem] alpha: cannot parse 'half'",
+                 id="value-does-not-parse"),
+    pytest.param(BASE, ["--set", "problem.alpha"], "--set expects section.key=value",
+                 id="set-without-value"),
+    pytest.param(BASE, ["--set", "problem.q=abc"], "problem.q must be 'truth' or a positive",
+                 id="non-numeric-q"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, config_text, flags, message):
+    cfg_path = write_cfg(tmp_path, config_text + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path, *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["forward", str(missing)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+
+
+def test_solver_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args):
+        raise InvalidCoefficientError("injected failure")
+    monkeypatch.setattr(experiments, "solve_truth", failing_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path]) == EXIT_SOLVER
+    assert capsys.readouterr().err == "solver error: injected failure\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_gradcheck_on_the_disk(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, f"""
+[problem]
+name = 2d-disk
+alpha = 0.5
+T = 2.0
+
+[mesh]
+h = 0.3
+
+[time]
+n_steps = 8
+
+[data]
+h_ref = 0.15
+n_steps_ref = 16
+
+[output]
+directory = {tmp_path}/gc
+""")
+    assert main(["gradcheck", cfg_path]) == EXIT_OK
+    assert "max relative mismatch" in capsys.readouterr().out

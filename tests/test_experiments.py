@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracinv import experiments, fem, timestep
+from fracinv.errors import DegenerateDirectionError
 from fracinv.experiments import (ExperimentConfig, add_noise, check_positivity,
                                  compute_errors, compute_rate, make_meshes,
                                  run_sweep, solve_truth, stability_quotient,
@@ -164,6 +165,37 @@ def test_run_sweep_writes_artifacts(tmp_path):
     assert len(field_dumps) == 2
 
 
+def test_run_sweep_records_a_failed_run_and_goes_on(tmp_path, monkeypatch):
+    # a solver failure in one run becomes a record with its message and NaN
+    # metrics; the other runs, the rate fit and the report are unaffected
+    real_run_inversion = experiments.run_inversion
+    calls = []
+
+    def failing_second_run(spec):
+        calls.append(spec)
+        if len(calls) == 2:
+            raise DegenerateDirectionError("injected failure")
+        return real_run_inversion(spec)
+
+    monkeypatch.setattr(experiments, "run_inversion", failing_second_run)
+    cfg = ExperimentConfig(problem="1d-sine", alphas=(0.5,), T_values=(1.0,),
+                           noise_levels=(1e-2, 5e-3, 2.5e-3), seed=1, max_iters=40,
+                           output_dir=str(tmp_path / "out"), **FAST)
+    report = run_sweep(cfg)
+    ok, failed, last = report.records
+    assert len(calls) == 3
+    assert failed.error == "injected failure"
+    assert (failed.eps, failed.iters, failed.converged, failed.reason) == (5e-3, 0, False, "")
+    assert all(math.isnan(v) for v in (failed.delta, failed.e_q, failed.e_u))
+    assert ok.error is None and last.error is None
+    assert report.rates[(0.5, 1.0)][0] == compute_rate([(1e-2, ok.e_q), (2.5e-3, last.e_q)])
+    out = tmp_path / "out"
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 and rows[1]["delta"] == "nan"
+    assert len(list(out.glob("*_q.field"))) == 2
+
+
 def test_run_sweep_deterministic():
     cfg = ExperimentConfig(problem="1d-sine", alphas=(0.5,), T_values=(1.0,),
                            noise_levels=(1e-2, 5e-3), seed=2, max_iters=30,
@@ -261,6 +293,23 @@ def test_stability_quotient_perturbs_a_large_coefficient():
     problem = dataclasses.replace(get_problem("1d-sine"), q_true=10.0)
     table = stability_quotient(problem, 0.5, (5.0,), 10, seed=0, h=0.05, n_steps=8)
     assert len(set(table[5.0][0])) == 10
+
+
+def test_stability_setup_on_the_disk():
+    # each perturbation is one Gaussian bump of the given amplitude on the
+    # disk's coefficient, and the draw is fixed by the seed
+    problem = get_problem("2d-disk")
+    mesh, grids, perturbed = experiments.stability_setup(
+        problem, (1e-5, 5.0), 4, seed=0, h=0.3, n_steps=8)
+    assert mesh.dim == 2 and [g.T for g in grids] == [1e-5, 5.0]
+    q_true = fem.interpolate(mesh, VH, problem.q_true).values
+    for p, dq_norm in perturbed:
+        dq = fem.interpolate(mesh, VH, p.q_true).values - q_true
+        assert (dq > 0).all() or (dq < 0).all()
+        assert np.abs(dq).max() <= experiments.BUMP_AMPLITUDE
+        assert dq_norm == fem.norm_l2(Field(mesh, VH, dq)) > 0.0
+    again = experiments.stability_setup(problem, (1e-5, 5.0), 4, seed=0, h=0.3, n_steps=8)
+    assert [n for _, n in again[2]] == [n for _, n in perturbed]
 
 
 def test_stability_quotient_comparable_large_T():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracinv import fem, linalg, timestep
+from fracinv import fem, inverse, linalg, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.fem import VH, XH, Field
 from fracinv.inverse import (InverseSpec, StoppingRule, cg_direction,
@@ -311,6 +311,54 @@ class TestRunInversion:
         m3, i3 = pieces(3.0)
         assert m3 == pytest.approx(9.0 * m1, rel=1e-9)
         assert i1 == i3
+
+
+def test_degenerate_cg_direction_retries_steepest_descent(monkeypatch):
+    # a conjugate direction the step model cannot use is replaced by the
+    # smoothed gradient itself, so a zero direction at every iteration gives
+    # exactly the steepest-descent run
+    mesh = generate_interval_mesh(30)
+    rng = np.random.default_rng(24)
+    q_true = Field(mesh, VH, 1.0 + 0.2 * rng.random(mesh.n_vertices))
+    traj = timestep.solve_forward(mesh, q_true, u0, 1.0, 0.5, TimeGrid(1.0, 10))
+    z = Field(mesh, XH, traj.terminal.values
+              + 0.02 * rng.standard_normal(len(mesh.interior)))
+    spec = make_spec(mesh, gamma=1e-9, z=z, max_iters=4)
+    real_step_size = inverse.step_size
+    degenerate = []
+
+    def recording_step_size(*args):
+        try:
+            return real_step_size(*args)
+        except DegenerateDirectionError:
+            degenerate.append(args[2])
+            raise
+
+    monkeypatch.setattr(inverse, "step_size", recording_step_size)
+    monkeypatch.setattr(inverse, "cg_direction", lambda g, g_prev, d_prev: g)
+    steepest = run_inversion(spec)
+    assert not degenerate
+    monkeypatch.setattr(inverse, "cg_direction", lambda g, g_prev, d_prev: Field(
+        g.mesh, g.space, np.zeros_like(g.values)))
+    retried = run_inversion(spec)
+    assert len(degenerate) == retried.iterations == steepest.iterations == 4
+    assert all(not d.values.any() for d in degenerate)
+    assert [(it.J, it.step) for it in retried.history] == \
+        [(it.J, it.step) for it in steepest.history]
+    assert np.array_equal(retried.q.values, steepest.q.values)
+
+
+def test_step_that_leaves_q_unchanged_stops_stalled():
+    # q_init sits on the upper bound and the data come from q = 2, so the
+    # projected step clamps q back onto itself
+    mesh = generate_interval_mesh(30)
+    q_data = Field(mesh, VH, np.full(mesh.n_vertices, 2.0))
+    traj = timestep.solve_forward(mesh, q_data, u0, 1.0, 0.5, TimeGrid(1.0, 10))
+    spec = make_spec(mesh, z=traj.terminal, c0=0.5, c1=1.0, max_iters=20)
+    result = run_inversion(spec)
+    assert (result.reason, result.converged, result.iterations) == ("stalled", False, 1)
+    assert np.array_equal(result.q.values, spec.q_init.values)
+    assert result.history[0].step > 0.0
 
 
 def test_each_marched_coefficient_is_factorized_once(monkeypatch):

@@ -157,3 +157,55 @@ def test_build_mesh_normalizes_orientation():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = build_mesh(2, verts, np.array([[0, 2, 1]]))  # clockwise input
     assert cell_measures(m)[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dim, vertices, cells", [
+    pytest.param(1, [[0.0], [1.0]], [[0, 2]], id="1d-index-too-large"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, -1, 2]],
+                 id="2d-negative-index"),
+    pytest.param(1, [[0.0], [0.5], [1.0]], [[0, 1]], id="1d-unreferenced-vertex"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2]],
+                 id="2d-unreferenced-vertex"),
+    # vertex 0 is a facet of all three intervals
+    pytest.param(1, [[0.0], [1.0], [-1.0], [0.5]], [[0, 1], [2, 0], [0, 3]],
+                 id="1d-facet-in-three-cells"),
+    # edge (0, 1) is a facet of all three triangles
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+                 [[0, 1, 2], [0, 3, 1], [0, 1, 4]], id="2d-facet-in-three-cells"),
+    pytest.param(1, [[0.0], [1.0], [1.1]], [[0, 1], [1, 2]],
+                 id="1d-diameter-ratio-above-4"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                     [2.0, 0.0], [2.1, 0.0], [2.0, 0.1]],
+                 [[0, 1, 2], [3, 4, 5]], id="2d-diameter-ratio-above-4"),
+])
+def test_build_mesh_rejections(dim, vertices, cells):
+    with pytest.raises(MeshValidationError):
+        build_mesh(dim, np.array(vertices), np.array(cells))
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("", 1, id="empty-file"),
+    pytest.param("# fracinv mesh\n# domain interval\n", 1, id="comments-only"),
+    pytest.param("# fracinv mesh\n1 two 1\n0\n1\n0 1\n1 1\n", 2, id="header-not-integers"),
+    pytest.param("3 1 0\n0 0 0\n1\n", 1, id="dim-3"),
+    pytest.param("1 2 1\n0\n1\n0 1\n", 1, id="too-few-lines"),
+    pytest.param("1 2 1\n0\n1\n0 1\n1 1\n0 1\n", 1, id="too-many-lines"),
+    pytest.param("2 3 1\n0 0\n1\n0 1\n0 1 2\n1 1 1\n", 3, id="wrong-coordinate-count"),
+    pytest.param("1 2 1\n0\n1\n0 1 1\n1 1\n", 4, id="wrong-index-count"),
+    pytest.param("1 2 1\n0\n1\n\n0 x\n1 1\n", 5, id="index-not-integer"),
+    pytest.param("1 2 1\n0\n1\n0 1.0\n1 1\n", 4, id="index-not-integral"),
+    pytest.param("1 2 1\n0\n1\n0 1\n1 2\n", 5, id="flag-not-0-or-1"),
+    pytest.param("1 2 1\n0\n1\n0 1\n1\n", 5, id="wrong-flag-count"),
+])
+def test_load_rejects_malformed_file_with_line_number(tmp_path, text, line):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=f"^line {line}: "):
+        load_mesh(path)
+
+
+def test_load_rejects_file_without_cells(tmp_path):
+    path = tmp_path / "nocells.mesh"
+    path.write_text("1 1 0\n0\n1\n")
+    with pytest.raises(MeshValidationError):
+        load_mesh(path)
