@@ -67,7 +67,8 @@ class ExperimentConfig:
         if self.n_steps_ref <= self.n_steps:
             raise ValueError("reference step count must exceed the coarse one")
         for T in self.T_values:
-            TimeGrid(T, self.n_steps)
+            for n_steps in (self.n_steps, self.n_steps_ref):
+                TimeGrid(T, n_steps)
         for alpha in self.alphas:
             timestep.cq_weights(alpha, 0)
         if not all(0.0 <= eps < math.inf for eps in self.noise_levels):

@@ -9,11 +9,11 @@ constant gradients of P1 basis functions.  Data integrals use 2-point
 Gauss (1D) / 3-point edge-midpoint (2D) quadrature.
 
 What no coefficient changes (interior dofs, cell measures, basis
-gradients, sparsity patterns, mass matrices and their factorizations) is
-built once per mesh, by :func:`geometry`.  The load vector of the source f
-and the start vector P_h u0 are computed once per mesh and (f, u0) pair, by
-:func:`march_data`: f and u0 are scalars or pure functions of the
-coordinates, and each mesh keeps one such pair.
+gradients, sparsity patterns and their factor layouts, mass matrices and
+their factorizations) is built once per mesh, by :func:`geometry`.  The
+load vector of the source f and the start vector P_h u0 are computed once
+per mesh and (f, u0) pair, by :func:`march_data`: f and u0 are scalars or
+pure functions of the coordinates, and each mesh keeps one such pair.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ class Geometry:
 
     Built on first use by :func:`geometry` and stored on the mesh, so it
     lives exactly as long as the mesh.  Each space's matrices share one
-    CSR pattern, and ``scatter`` sums per-cell local matrices into it with
-    a single ``bincount``.  The factorizations are built on first use.
+    CSR pattern: ``scatter`` sums per-cell local matrices into it with a
+    single ``bincount``, and ``factorize`` factors on its factor layout,
+    built on first use like the mass and Riesz factorizations.
     """
 
     def __init__(self, mesh: Mesh):
@@ -92,6 +93,7 @@ class Geometry:
         self.gradients = _cell_basis_gradients(mesh, self.measures)
         self._patterns = {space: _pattern(self.cells, self.dofs[space])
                           for space in (VH, XH)}
+        self.layouts = {}
         self.mass = {space: self.scatter(space, self.local_mass()) for space in (VH, XH)}
         self.stiffness = self.scatter(VH, self.local_stiffness(np.ones(mesh.n_vertices)))
 
@@ -115,15 +117,23 @@ class Geometry:
         n = len(indptr) - 1
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
+    def factorize(self, space, data) -> linalg.SpdSolver:
+        """Factor the matrix with ``data`` on the space's pattern."""
+        _, _, indices, indptr = self._patterns[space]
+        if space not in self.layouts:
+            self.layouts[space] = linalg.FactorLayout(indptr, indices)
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+        return linalg.factorize(matrix, self.layouts[space])
+
     @cached_property
     def mass_solver(self) -> linalg.SpdSolver:
         """Factorized X_h mass matrix (L2 projection)."""
-        return linalg.factorize(self.mass[XH])
+        return self.factorize(XH, self.mass[XH].data)
 
     @cached_property
     def riesz_solver(self) -> linalg.SpdSolver:
         """Factorized full-H1 Riesz matrix M_V + K_V(1)."""
-        return linalg.factorize(self.mass[VH] + self.stiffness)
+        return self.factorize(VH, self.mass[VH].data + self.stiffness.data)
 
     @cached_property
     def xh_gradients(self) -> list[sp.csr_matrix]:
@@ -203,13 +213,14 @@ def assemble_stiffness(mesh: Mesh, space: str, q: Field) -> sp.csr_matrix:
     """Stiffness matrix K_ij = integral of q grad(phi_i) . grad(phi_j).
 
     The coefficient ``q`` must be a V_h field on the same mesh with
-    strictly positive nodal values.
+    strictly positive, finite nodal values.
     """
     if q.mesh is not mesh or q.space != VH:
         raise ValueError("coefficient must be a V_h field on the same mesh")
-    qmin = q.values.min()
-    if not qmin > 0.0:
-        raise InvalidCoefficientError(f"coefficient must be positive, min is {qmin:.3g}")
+    qmin, qmax = q.values.min(), q.values.max()
+    if not 0.0 < qmin <= qmax < np.inf:
+        raise InvalidCoefficientError("coefficient must be positive and finite, "
+                                      f"range is [{qmin:.3g}, {qmax:.3g}]")
     return _stiffness_with_coeff(mesh, space, q.values)
 
 

@@ -3,43 +3,98 @@
 The implicit time stepper solves against one fixed matrix N times, so a
 sparse direct factorization is computed once and reused.  Factorizations
 are immutable after construction; concurrent solves with distinct
-right-hand sides do not interfere.
+right-hand sides do not interfere.  Matrices on one CSR pattern share its
+:class:`FactorLayout`, which :mod:`fem` builds once per mesh space.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotSpdError
 
 
-class SpdSolver:
-    """Reusable sparse LU factor of a symmetric positive definite CSC matrix."""
+class FactorLayout:
+    """The data-free part of factoring matrices on one canonical CSR pattern:
+    the slot of each entry's mirror and of each diagonal entry (-1, read as
+    zero, if absent), and the gather of data into CSC, in the natural column
+    order until the first factorization finds SuperLU's, ``perm_c``, which
+    the pattern fixes."""
 
-    def __init__(self, matrix):
-        try:
-            self._lu = spla.splu(matrix)
-        except RuntimeError as exc:  # singular factor / zero pivot
-            raise NotSpdError(f"factorization broke down: {exc}") from exc
+    def __init__(self, indptr, indices):
+        n = len(indptr) - 1
+        self.indptr, self.indices, self.perm_c = indptr, indices, None
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        keys = np.append(rows * n + indices, n * n)  # sorted, closed by n * n
+        wanted = np.concatenate([indices * np.int64(n) + rows, [n * n], np.arange(n) * (n + 1)])
+        at = np.searchsorted(keys, wanted)
+        at[keys[at] != wanted] = -1
+        self.transpose, self.diagonal = np.split(at, [len(keys)])
+        # every array is made here and rewritten in place later: made after
+        # the first factorization, they would lie above its freed working
+        # storage and keep the heap from shrinking (0.5 MB more peak RSS
+        # over twelve forward-1d marches)
+        self.gather, self.csc = self._gather(np.arange(n))
+        self._perm_c = np.empty(n, np.intp)
+
+    def _gather(self, position):
+        csc = sp.csr_matrix((np.arange(len(self.indices)), position[self.indices], self.indptr),
+                            shape=(len(position),) * 2).tocsc()
+        return csc.data, (csc.indices, csc.indptr)
+
+    def arrange(self, perm_c):
+        gather, (indices, indptr) = self._gather(perm_c)
+        self.gather[:], self.csc[0][:], self.csc[1][:] = gather, indices, indptr
+        self._perm_c[:] = perm_c  # a copy: SuperLU's own array keeps its factor alive
+        self.perm_c = self._perm_c
+
+
+class SpdSolver:
+    """Reusable sparse LU factor of a symmetric positive definite matrix,
+    whose columns may be permuted by ``perm_c``."""
+
+    def __init__(self, lu, perm_c=None):
+        self._lu, self._perm_c = lu, perm_c
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self._lu.shape[0],):
             raise ValueError(f"right-hand side has shape {b.shape}, "
                              f"matrix is {self._lu.shape}")
-        return self._lu.solve(b)
+        x = self._lu.solve(b)
+        return x if self._perm_c is None else x[self._perm_c]
 
 
-def factorize(matrix) -> SpdSolver:
-    """Validate symmetry and positivity necessities, then build a solver handle."""
-    matrix = matrix.tocsc()
+def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
+    """Check finiteness, symmetry and diagonal positivity, then factor the
+    matrix on the layout of its pattern (a layout of its own by default).
+
+    The factor is bit for bit a plain ``splu``'s: the first one on a layout
+    finds SuperLU's column order, and later ones are handed it."""
+    matrix = matrix.tocsr()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    asym = matrix - matrix.T
-    if asym.nnz and np.abs(asym.data).max() > 1e-12 * max(scale, 1e-300):
+    if layout is None:
+        matrix = matrix.tocoo().tocsr()  # a canonical copy
+        layout = FactorLayout(matrix.indptr, matrix.indices)
+    elif not (np.array_equal(matrix.indptr, layout.indptr)
+              and np.array_equal(matrix.indices, layout.indices)):
+        raise ValueError("matrix pattern is not the layout's")
+    data = np.append(matrix.data, 0.0)
+    if not np.isfinite(data).all():
+        raise NotSpdError("matrix has a non-finite entry")
+    if np.abs(data - data[layout.transpose]).max() > 1e-12 * max(np.abs(data).max(), 1e-300):
         raise NotSpdError("matrix is not symmetric")
-    if matrix.shape[0] and matrix.diagonal().min() <= 0.0:
+    if data[layout.diagonal].min(initial=np.inf) <= 0.0:
         raise NotSpdError("matrix has a nonpositive diagonal entry")
-    return SpdSolver(matrix)
+    perm_c = layout.perm_c
+    csc = sp.csc_matrix((data[layout.gather], *layout.csc), matrix.shape)
+    try:
+        lu = spla.splu(csc, permc_spec=None if perm_c is None else "NATURAL")
+    except RuntimeError as exc:  # singular factor / zero pivot
+        raise NotSpdError(f"factorization broke down: {exc}") from exc
+    if perm_c is None:
+        layout.arrange(lu.perm_c)
+    return SpdSolver(lu, perm_c)

@@ -4,11 +4,12 @@ The fractional derivative of order alpha in (0, 1] is discretized on a
 uniform grid by the convolution weights of the series expansion of
 (1 - z)**alpha.  One implicit solve per step advances the state; the
 system matrix tau**(-alpha) * M + K(q) is fixed over the whole march and
-is factorized once; the sensitivity and adjoint marches along a forward
-trajectory reuse that factorization.  The history term is evaluated in
-the rearranged form with partial sums multiplying the initial state,
-which is how the quadrature acts on differences from the initial value
-and avoids cancellation for long histories.
+is factorized once, on the X_h factor layout its mesh builds once; the
+sensitivity and adjoint marches along a forward trajectory reuse that
+factorization.  The history term is evaluated in the rearranged form with
+partial sums multiplying the initial state, which is how the quadrature
+acts on differences from the initial value and avoids cancellation for
+long histories.
 
 All three marches sum their histories with one blocked-FFT routine,
 :func:`_march` (Hairer, Lubich and Schlichte 1985): exact up to rounding,
@@ -48,8 +49,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"final time must be positive and finite, got {self.T}")
-        if self.N < 1:
-            raise ValueError(f"step count must be >= 1, got {self.N}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError(f"step count must be a positive integer, got {self.N!r}")
 
     @property
     def tau(self) -> float:
@@ -133,9 +134,9 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
     """
     b = cq_weights(alpha, grid.N)
     s = np.cumsum(b)
-    mass = fem.geometry(mesh).mass[XH]
-    scale = grid.tau ** -alpha
-    solver = linalg.factorize(scale * mass + fem.assemble_stiffness(mesh, XH, q))
+    geo = fem.geometry(mesh)
+    mass, scale = geo.mass[XH], grid.tau ** -alpha
+    solver = geo.factorize(XH, scale * mass.data + fem.assemble_stiffness(mesh, XH, q).data)
     load, start = fem.march_data(mesh, f, u0)
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
     states[0] = start

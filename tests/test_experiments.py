@@ -27,7 +27,8 @@ def test_config_validation():
                 dict(c_gamma=math.nan), dict(bounds=(5, 0.5)), dict(alphas=(1.5,)),
                 dict(max_iters=-3), dict(T_values=(math.inf,)),
                 dict(problem="3d-cube"), dict(discrepancy_factor=0.0),
-                dict(gammas=(math.inf,)), dict(seed=-1)):
+                dict(gammas=(math.inf,)), dict(seed=-1), dict(n_steps=2.5),
+                dict(n_steps_ref=40.5)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 

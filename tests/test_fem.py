@@ -84,6 +84,13 @@ def test_stiffness_rejects_nan_coefficient():
         fem.assemble_stiffness(m, XH, Field(m, VH, np.full(5, np.nan)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stiffness_rejects_one_nonfinite_nodal_value(bad):
+    m = generate_interval_mesh(4)
+    with pytest.raises(InvalidCoefficientError, match="positive and finite"):
+        fem.assemble_stiffness(m, XH, Field(m, VH, np.array([1.0, 1.0, bad, 1.0, 1.0])))
+
+
 def test_matrices_symmetric():
     m = generate_disk_mesh(0.3)
     q = Field(m, VH, 1.0 + 0.1 * m.vertices[:, 0] ** 2)

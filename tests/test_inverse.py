@@ -377,10 +377,10 @@ def test_each_marched_coefficient_is_factorized_once(monkeypatch):
     factorize, solve_forward = linalg.factorize, timestep.solve_forward
     factored, marched = [], []
 
-    def counting_factorize(matrix):
+    def counting_factorize(matrix, *layout):
         m = matrix.tocsr()
         factored.append((m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()))
-        return factorize(matrix)
+        return factorize(matrix, *layout)
 
     def recording_forward(mesh, q, *args):
         marched.append(q.values.tobytes())

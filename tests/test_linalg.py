@@ -1,11 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracinv import fem, linalg
 from fracinv.errors import NotSpdError
 from fracinv.fem import VH, XH, Field
-from fracinv.mesh import generate_interval_mesh
+from fracinv.mesh import generate_disk_mesh, generate_interval_mesh
 
 
 def test_identity_solve():
@@ -97,3 +101,88 @@ def test_dimension_mismatch():
     solver = linalg.factorize(sp.identity(3, format="csr"))
     with pytest.raises(ValueError):
         solver.solve(np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_entry_rejected(bad):
+    with pytest.raises(NotSpdError, match="non-finite"):
+        linalg.factorize(sp.diags([bad, 1.0]))
+    a = np.array([[4.0, bad], [bad, 4.0]])
+    with pytest.raises(NotSpdError, match="non-finite"):
+        linalg.factorize(sp.csr_matrix(a))
+
+
+def _system_data(mesh, q, scale):
+    k = fem.assemble_stiffness(mesh, XH, Field(mesh, VH, q))
+    return scale * fem.geometry(mesh).mass[XH].data + k.data
+
+
+def _on_xh_pattern(mesh, data):
+    matrix = fem.geometry(mesh).mass[XH].copy()
+    matrix.data = data
+    return matrix
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: generate_interval_mesh(40),
+                                       lambda: generate_disk_mesh(0.15)],
+                         ids=["interval", "disk"])
+def test_layout_solutions_equal_plain_splu(make_mesh):
+    # the first factorization on the X_h pattern builds its layout and finds
+    # the column order, later ones reuse both; every solution stays bit for
+    # bit that of a default splu
+    mesh = make_mesh()
+    rng = np.random.default_rng(3)
+    geo = fem.geometry(mesh)
+    assert XH not in geo.layouts
+    datas = [_system_data(mesh, 0.5 + 2.0 * rng.random(mesh.n_vertices), s)
+             for s in (1.0, 37.0, 1e4)] + [geo.mass[XH].data]
+    for data in datas:
+        b = rng.standard_normal(len(geo.interior))
+        solver = geo.factorize(XH, data)
+        layout = geo.layouts[XH]
+        assert layout.perm_c is not None
+        plain = spla.splu(_on_xh_pattern(mesh, data).tocsc())
+        assert np.array_equal(solver.solve(b), plain.solve(b))
+    assert geo.layouts[XH] is layout
+
+
+def test_layout_path_rejections():
+    mesh = generate_disk_mesh(0.3)
+    geo = fem.geometry(mesh)
+    good = _on_xh_pattern(mesh, _system_data(mesh, np.ones(mesh.n_vertices), 10.0))
+    geo.factorize(XH, good.data)
+    layout = geo.layouts[XH]
+    skewed = good.copy()
+    off_diagonal = np.flatnonzero(layout.transpose[:-1] != np.arange(good.nnz))
+    skewed.data[off_diagonal[0]] *= 1.0 + 1e-9
+    with pytest.raises(NotSpdError, match="not symmetric"):
+        linalg.factorize(skewed, layout)
+    negative = good.copy()
+    negative.data[layout.diagonal[2]] = -1.0
+    with pytest.raises(NotSpdError, match="nonpositive diagonal"):
+        linalg.factorize(negative, layout)
+    with pytest.raises(ValueError, match="pattern"):
+        linalg.factorize(geo.mass[VH], layout)
+    with pytest.raises(ValueError, match="pattern"):
+        linalg.factorize(sp.diags(good.diagonal()), layout)
+
+
+def test_structurally_missing_diagonal_rejected():
+    a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+    a.eliminate_zeros()
+    assert a.nnz == 6  # no stored entry at (1, 1)
+    with pytest.raises(NotSpdError, match="nonpositive diagonal"):
+        linalg.factorize(a)
+    layout = linalg.FactorLayout(a.indptr, a.indices)
+    assert layout.diagonal[1] == -1  # the slot standing for an absent entry
+    with pytest.raises(NotSpdError, match="nonpositive diagonal"):
+        linalg.factorize(a, layout)
+
+
+def test_layout_lives_with_its_mesh():
+    mesh = generate_interval_mesh(20)
+    fem.l2_project(mesh, 1.0)
+    ref = weakref.ref(fem.geometry(mesh).layouts[XH])
+    del mesh
+    gc.collect()
+    assert ref() is None

@@ -152,6 +152,15 @@ class TestForward:
         with pytest.raises(InvalidCoefficientError):
             solve_forward(mesh, q, u0_parabola, 1.0, 0.5, TimeGrid(1.0, 4))
 
+    def test_rejects_infinite_coefficient(self):
+        # one infinite nodal value is rejected at assembly, not by the factorization
+        mesh = generate_interval_mesh(8)
+        q = Field(mesh, VH, np.ones(mesh.n_vertices))
+        q.values[3] = np.inf
+        from fracinv.errors import InvalidCoefficientError
+        with pytest.raises(InvalidCoefficientError, match="finite"):
+            solve_forward(mesh, q, u0_parabola, 1.0, 0.5, TimeGrid(1.0, 4))
+
 
 class TestMarchData:
     def test_marches_on_one_mesh_integrate_once(self, monkeypatch):
@@ -472,8 +481,10 @@ def test_time_grid_validation():
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             TimeGrid(T, 5)
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, 0)
+    for N in (0, 2.5, 8.0, "8"):
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, N)
+    assert TimeGrid(1.0, np.int64(8)).tau == 0.125
     g = TimeGrid(2.0, 8)
     assert g.tau == pytest.approx(0.25)
     assert len(g.times) == 9
