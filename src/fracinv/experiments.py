@@ -74,6 +74,8 @@ class ExperimentConfig:
         if not all(0.0 <= eps < math.inf for eps in self.noise_levels):
             raise ValueError("noise levels must be nonnegative and finite, "
                              f"got {self.noise_levels}")
+        if len(set(self.noise_levels)) != len(self.noise_levels):
+            raise ValueError(f"noise levels must be distinct, got {self.noise_levels}")
         if self.gammas is not None and len(self.gammas) != len(self.noise_levels):
             raise ValueError("explicit gammas must match the noise levels one-to-one")
         gammas = [self.gamma_for(i) for i in range(len(self.noise_levels))]
@@ -250,7 +252,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                 math.nan, 0, False,
                                 time.perf_counter() - start, error=str(exc))
             report.records.append(rec)
-            if rec.error is None and rec.e_q > 0 and rec.e_u > 0:
+            if rec.error is None and rec.eps > 0 and rec.e_q > 0 and rec.e_u > 0:
                 pairs_q.append((rec.eps, rec.e_q))
                 pairs_u.append((rec.eps, rec.e_u))
             if out_dir is not None and rec.error is None:

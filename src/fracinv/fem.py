@@ -9,11 +9,11 @@ constant gradients of P1 basis functions.  Data integrals use 2-point
 Gauss (1D) / 3-point edge-midpoint (2D) quadrature.
 
 What no coefficient changes (interior dofs, cell measures, basis
-gradients, sparsity patterns and their factor layouts, mass matrices and
-their factorizations) is built once per mesh, by :func:`geometry`.  The
-load vector of the source f and the start vector P_h u0 are computed once
-per mesh and (f, u0) pair, by :func:`march_data`: f and u0 are scalars or
-pure functions of the coordinates, and each mesh keeps one such pair.
+gradients, sparsity patterns and their factor layouts, mass matrices) is
+built once per mesh, by :func:`geometry`.  The load vector of the source
+f and the start vector P_h u0 are computed once per mesh and (f, u0)
+pair, by :func:`march_data`: f and u0 are scalars or pure functions of
+the coordinates, and each mesh keeps one such pair.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Geometry:
     lives exactly as long as the mesh.  Each space's matrices share one
     CSR pattern: ``scatter`` sums per-cell local matrices into it with a
     single ``bincount``, and ``factorize`` factors on its factor layout,
-    built on first use like the mass and Riesz factorizations.
+    built on first use like the Riesz factorization.
     """
 
     def __init__(self, mesh: Mesh):
@@ -126,11 +126,6 @@ class Geometry:
         return linalg.factorize(matrix, self.layouts[space])
 
     @cached_property
-    def mass_solver(self) -> linalg.SpdSolver:
-        """Factorized X_h mass matrix (L2 projection)."""
-        return self.factorize(XH, self.mass[XH].data)
-
-    @cached_property
     def riesz_solver(self) -> linalg.SpdSolver:
         """Factorized full-H1 Riesz matrix M_V + K_V(1)."""
         return self.factorize(VH, self.mass[VH].data + self.stiffness.data)
@@ -161,21 +156,21 @@ def _pattern(cells, dof):
     """
     n = np.count_nonzero(dof >= 0)
     nloc = cells.shape[1]
-    rows = np.repeat(dof[cells], nloc, axis=1).ravel()
-    cols = np.tile(dof[cells], (1, nloc)).ravel()
-    kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-    by_row = kept[np.argsort(rows[kept], kind="stable")]
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
-    order = sp.csr_matrix((np.arange(len(by_row), dtype=float), cols[by_row], row_ptr),
-                          shape=(n, n))
-    order.sort_indices()  # the same sort, so the same order among duplicates
-    entries = by_row[order.data.astype(np.int64)]
-    keys = rows[entries] * n + cols[entries]
-    first = np.diff(keys, prepend=-1) != 0  # first entry of each (row, column)
-    unique = keys[first]
-    slots = np.cumsum(first) - 1
-    indptr = np.searchsorted(unique // n, np.arange(n + 1))
-    return tuple(a.astype(np.int32) for a in (entries, slots, unique % n, indptr))
+    local = dof.astype(np.int32)[cells]
+    rows = np.repeat(local, nloc, axis=1).ravel()
+    cols = np.tile(local, (1, nloc)).ravel()
+    kept = np.arange(rows.size, dtype=np.int32)[(rows >= 0) & (cols >= 0)]
+    # the transpose of one entry per row is a stable counting sort by row
+    by_row = sp.csr_matrix((kept, rows[kept], np.arange(len(kept) + 1, dtype=np.int32)),
+                           shape=(len(kept), n)).tocsc()
+    order = sp.csr_matrix((by_row.data, cols[by_row.data], by_row.indptr), shape=(n, n))
+    order.sort_indices()  # std::sort on the same columns: the same order among duplicates
+    entries, cols = order.data, order.indices
+    first = np.diff(cols, prepend=np.int32(-1)) != 0  # first entry of each (row, column)
+    first[order.indptr[:-1]] = True  # no row is empty: each holds its diagonal
+    count = np.zeros(len(entries) + 1, dtype=np.int32)
+    np.cumsum(first, dtype=np.int32, out=count[1:])
+    return entries, count[1:] - 1, cols[first], count[order.indptr]
 
 
 def geometry(mesh: Mesh) -> Geometry:
@@ -265,8 +260,9 @@ def load_vector(mesh: Mesh, space: str, f) -> np.ndarray:
 
 
 def l2_project(mesh: Mesh, f) -> Field:
-    """L2 projection onto X_h: solve M x = (f, phi_i)."""
-    x = geometry(mesh).mass_solver.solve(load_vector(mesh, XH, f))
+    """L2 projection onto X_h: solve M x = (f, phi_i), factoring M for this solve alone."""
+    geo = geometry(mesh)
+    x = geo.factorize(XH, geo.mass[XH].data).solve(load_vector(mesh, XH, f))
     return Field(mesh, XH, x)
 
 
@@ -328,34 +324,64 @@ def cell_average_load(mesh: Mesh, cellwise: np.ndarray) -> np.ndarray:
 
 
 def evaluate_at_points(v: Field, points: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 function at arbitrary points.
+    """Evaluate the P1 function at the rows of an (n, dim) array of points.
 
-    Points marginally outside the mesh (e.g. in the sliver between the
-    disk and its inscribed polygon) are evaluated in the nearest cell
-    with clipped barycentric coordinates.
-    """
+    In 2D a point is evaluated in the first cell, in cell order, with the
+    largest minimum barycentric coordinate, clipped at zero: one just off
+    the mesh (as in the sliver between the disk and its inscribed polygon)
+    is evaluated in the nearest cell."""
     mesh = v.mesh
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != mesh.dim or not np.isfinite(points).all():
+        raise ValueError(f"points must be an (n, {mesh.dim}) array of finite "
+                         f"coordinates, got shape {points.shape}")
     nodal = v.extend()
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if mesh.dim == 1:
         x = mesh.vertices[:, 0]
         order = np.argsort(x)
         return np.interp(points[:, 0], x[order], nodal[order])
-    p0 = mesh.vertices[mesh.cells[:, 0]]
-    e1 = mesh.vertices[mesh.cells[:, 1]] - p0
-    e2 = mesh.vertices[mesh.cells[:, 2]] - p0
+    corners = mesh.vertices[mesh.cells]
+    p0, e1, e2 = corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    out = np.empty(len(points))
-    for i, pt in enumerate(points):
-        r = pt - p0
-        l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+
+    def coordinates(pts, cell):  # of pts in cell, and their minimum
+        r = pts - p0[cell]
+        l1 = (r[:, 0] * e2[cell, 1] - r[:, 1] * e2[cell, 0]) / det[cell]
+        l2 = (e1[cell, 0] * r[:, 1] - e1[cell, 1] * r[:, 0]) / det[cell]
         l0 = 1.0 - l1 - l2
-        c = int(np.argmax(np.minimum(l0, np.minimum(l1, l2))))
-        lam = np.clip([l0[c], l1[c], l2[c]], 0.0, None)
-        lam /= lam.sum()
-        out[i] = lam @ nodal[mesh.cells[c]]
+        return np.column_stack([l0, l1, l2]), np.minimum(l0, np.minimum(l1, l2))
+
+    near = _bucket_cells(corners, points)  # each point's row holds every cell holding it
+    lam, low = coordinates(np.repeat(points, np.diff(near.indptr), axis=0), near.indices)
+    out = np.empty(len(points))
+    for i, (a, b) in enumerate(zip(near.indptr, near.indptr[1:])):
+        lam_i, low_i, cells = lam[a:b], low[a:b], near.indices[a:b]
+        if not (low_i >= 0.0).any():  # no bucket cell holds it: scan them all
+            (lam_i, low_i), cells = coordinates(points[i], slice(None)), np.arange(mesh.n_cells)
+        k = np.argmax(low_i)
+        weights = np.clip(lam_i[k], 0.0, None)
+        out[i] = weights / weights.sum() @ nodal[mesh.cells[cells[k]]]
     return out
+
+
+def _bucket_cells(corners, points):
+    """Per point, as a CSR row, the cells in ascending order listed in its
+    bucket of a grid of about one bucket per cell: each cell is listed in
+    every bucket that its bounding box, padded by a relative 1e-9, meets."""
+    pad = 1e-9 * np.abs(corners).max()
+    lo, hi = corners.min(axis=1) - pad, corners.max(axis=1) + pad
+    n, origin = max(1, int(np.sqrt(len(corners)))), lo.min(axis=0)
+    width = (hi.max(axis=0) - origin) / n
+
+    def index(x):  # monotone, so a box's corners bound its points' buckets
+        return np.clip((x - origin) / width, 0, n - 1).astype(np.int64).T
+
+    (i0, j0), (i1, j1) = index(lo), index(hi)
+    di, dj = np.indices(((i1 - i0).max() + 1, (j1 - j0).max() + 1)).reshape(2, -1, 1)
+    d, c = np.nonzero((di <= i1 - i0) & (dj <= j1 - j0))
+    rows = (i0[c] + di[d, 0]) * n + j0[c] + dj[d, 0]
+    grid = sp.csr_matrix((np.ones(len(c), bool), (rows, c)), shape=(n * n, len(corners)))
+    return grid[np.ravel_multi_index(index(points), (n, n))]
 
 
 def save_field(field: Field, path, name="field", mesh_file="") -> None:

@@ -181,8 +181,8 @@ def step_size(spec: InverseSpec, q: Field, d: Field,
     w_term = sens.values[-1]
     r = forward.values[-1] - spec.z_delta.values
     kd = geo.stiffness @ d.values
-    rw = float(r @ (mass_x @ w_term))
-    ww = float(w_term @ (mass_x @ w_term))
+    mw = mass_x @ w_term
+    rw, ww = float(r @ mw), float(w_term @ mw)
     numer = -(rw + spec.gamma * float(q.values @ kd))
     denom = ww + spec.gamma * float(d.values @ kd)
     if not math.isfinite(denom) or denom <= 0.0:

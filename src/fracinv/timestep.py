@@ -107,7 +107,8 @@ class Trajectory:
 
     @property
     def terminal(self) -> Field:
-        return self.field(self.grid.N)
+        # a copy, which does not keep the whole state array alive as a view would
+        return Field(self.mesh, XH, self.values[self.grid.N].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,9 @@ def solve_forward(mesh: Mesh, q: Field, u0, f, alpha: float, grid: TimeGrid,
     s = np.cumsum(b)
     geo = fem.geometry(mesh)
     mass, scale = geo.mass[XH], grid.tau ** -alpha
-    solver = geo.factorize(XH, scale * mass.data + fem.assemble_stiffness(mesh, XH, q).data)
+    # first: the projection's mass factor is freed before this march's is made
     load, start = fem.march_data(mesh, f, u0)
+    solver = geo.factorize(XH, scale * mass.data + fem.assemble_stiffness(mesh, XH, q).data)
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
     states[0] = start
     _march(states, b, lambda n, hist: solver.solve(

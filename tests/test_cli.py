@@ -195,6 +195,26 @@ directory = {tmp_path}/bench
     assert len(lines) == 3  # header + 2 runs
 
 
+def test_bench_with_a_noise_free_run_writes_its_report(tmp_path, capsys):
+    # one positive noise level: the row gets no rate, and the sweep's
+    # artifacts are written
+    cfg_path = write_cfg(tmp_path, BASE + f"""
+[sweep]
+alphas = 0.5
+noise_levels = 0 1e-2
+
+[inversion]
+max_iters = 30
+
+[output]
+directory = {tmp_path}/bench
+""")
+    assert main(["bench", cfg_path]) == EXIT_OK
+    assert "e_q rate nan, e_u rate nan" in capsys.readouterr().out
+    for name in ("report.csv", "report.json", "effective-config.cfg"):
+        assert (tmp_path / "bench" / name).exists()
+
+
 def test_verify_tables(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE + f"""
 [verify]
@@ -253,7 +273,7 @@ def test_bad_check_keys_exit_2(tmp_path, capsys, command, settings, message):
     ["sweep.noise_levels=nan"], ["mesh.h=nan"], ["time.n_steps=0"],
     ["sweep.c_gamma=nan"], ["inversion.c0=5", "inversion.c1=0.5"],
     ["sweep.alphas=1.5"], ["inversion.max_iters=-3"], ["sweep.T_values=inf"],
-    ["data.seed=-1"]],
+    ["data.seed=-1"], ["sweep.noise_levels=0.01 0.01"]],
     ids=lambda settings: settings[0])
 def test_bench_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys,
                                                          monkeypatch, settings):

@@ -28,7 +28,8 @@ def test_config_validation():
                 dict(max_iters=-3), dict(T_values=(math.inf,)),
                 dict(problem="3d-cube"), dict(discrepancy_factor=0.0),
                 dict(gammas=(math.inf,)), dict(seed=-1), dict(n_steps=2.5),
-                dict(n_steps_ref=40.5)):
+                dict(n_steps_ref=40.5), dict(noise_levels=(1e-2, 1e-2)),
+                dict(noise_levels=(0.0, 1e-2, -0.0))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
@@ -195,6 +196,20 @@ def test_run_sweep_records_a_failed_run_and_goes_on(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3 and rows[1]["delta"] == "nan"
     assert len(list(out.glob("*_q.field"))) == 2
+
+
+def test_run_sweep_fits_rates_over_positive_noise_levels(tmp_path):
+    # a noise-free run is reported, but has no place in a fit in log(eps)
+    cfg = ExperimentConfig(problem="1d-sine", alphas=(0.5,), T_values=(1.0,),
+                           noise_levels=(0.0, 1e-2, 5e-3), seed=1, max_iters=40,
+                           output_dir=str(tmp_path / "out"), **FAST)
+    report = run_sweep(cfg)
+    clean, *noisy = report.records
+    assert all(r.error is None for r in report.records)
+    assert clean.eps == 0.0
+    assert report.rates[(0.5, 1.0)] == (compute_rate([(r.eps, r.e_q) for r in noisy]),
+                                        compute_rate([(r.eps, r.e_u) for r in noisy]))
+    assert len(json.loads((tmp_path / "out" / "report.json").read_text())["records"]) == 3
 
 
 def test_run_sweep_deterministic():

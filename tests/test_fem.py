@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -231,11 +232,60 @@ def test_assembly_is_bit_identical_to_coo_reference(mesh):
             assert np.array_equal(got.data, ref.data)
 
 
+def reference_pattern(cells, dof):
+    # the pattern built from int64 keys and a float64 position key, as
+    # fem._pattern first built it
+    n = np.count_nonzero(dof >= 0)
+    nloc = cells.shape[1]
+    rows = np.repeat(dof[cells], nloc, axis=1).ravel()
+    cols = np.tile(dof[cells], (1, nloc)).ravel()
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+    by_row = kept[np.argsort(rows[kept], kind="stable")]
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
+    order = sp.csr_matrix((np.arange(len(by_row), dtype=float), cols[by_row], row_ptr),
+                          shape=(n, n))
+    order.sort_indices()
+    entries = by_row[order.data.astype(np.int64)]
+    keys = rows[entries] * n + cols[entries]
+    first = np.diff(keys, prepend=-1) != 0
+    unique = keys[first]
+    slots = np.cumsum(first) - 1
+    indptr = np.searchsorted(unique // n, np.arange(n + 1))
+    return tuple(a.astype(np.int32) for a in (entries, slots, unique % n, indptr))
+
+
+@pytest.mark.parametrize("mesh", [generate_interval_mesh(n) for n in (1, 9, 1600)]
+                         + [generate_disk_mesh(h) for h in (0.3, 0.1, 0.05, 0.035)],
+                         ids=lambda mesh: f"{mesh.domain}-{mesh.n_vertices}")
+def test_pattern_matches_reference(mesh):
+    # disk rows hold about 18 entries, past the 16 up to which std::sort
+    # keeps ties in order, so the order among duplicates is scipy's own
+    for space in (VH, XH):
+        dof = fem.geometry(mesh).dofs[space]
+        got = fem._pattern(mesh.cells, dof)
+        for a, b in zip(got, reference_pattern(mesh.cells, dof)):
+            assert a.dtype == np.int32
+            assert np.array_equal(a, b)
+
+
+def test_geometry_peaks_within_twice_what_it_keeps():
+    mesh = generate_disk_mesh(0.05)
+    fem.geometry(generate_disk_mesh(0.3))  # first-call allocations of numpy and scipy
+    tracemalloc.start()
+    try:
+        geo = fem.Geometry(mesh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert geo.mass[XH].shape == (len(mesh.interior),) * 2
+    assert peak <= 2 * kept
+
+
 def test_geometry_lives_as_long_as_its_mesh():
     mesh = generate_disk_mesh(0.4)
     geo = weakref.ref(fem.geometry(mesh))
     assert fem.geometry(mesh) is geo()
-    fem.l2_project(mesh, 1.0)  # caches the mass factorization too
+    fem.l2_project(mesh, 1.0)  # builds the X_h factor layout too
     del mesh
     assert geo() is None
 
@@ -266,6 +316,49 @@ def test_evaluate_at_points_linear_exact():
     pts = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.0]])
     vals = fem.evaluate_at_points(v, pts)
     np.testing.assert_allclose(vals, 2 * pts[:, 0] - 3 * pts[:, 1] + 1.0, atol=1e-12)
+
+
+def reference_scan(v, points):
+    # every cell tried for every point, as fem.evaluate_at_points first did
+    mesh, nodal = v.mesh, v.extend()
+    p0 = mesh.vertices[mesh.cells[:, 0]]
+    e1 = mesh.vertices[mesh.cells[:, 1]] - p0
+    e2 = mesh.vertices[mesh.cells[:, 2]] - p0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    out = np.empty(len(points))
+    for i, pt in enumerate(points):
+        r = pt - p0
+        l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
+        l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+        l0 = 1.0 - l1 - l2
+        c = int(np.argmax(np.minimum(l0, np.minimum(l1, l2))))
+        lam = np.clip([l0[c], l1[c], l2[c]], 0.0, None)
+        lam /= lam.sum()
+        out[i] = lam @ nodal[mesh.cells[c]]
+    return out
+
+
+def test_evaluate_at_points_is_the_full_scan_bit_for_bit():
+    # the sweep's transfer: the fine disk's states at the coarse vertices;
+    # on the fine vertices cells tie, and random points leave the disk, where
+    # no bucket cell holds them and the search scans every cell
+    fine, coarse = generate_disk_mesh(0.05), generate_disk_mesh(0.1)
+    v = Field(fine, XH, np.random.default_rng(4).standard_normal(len(fine.interior)))
+    for points in (coarse.vertices[coarse.interior], coarse.vertices, fine.vertices,
+                   np.random.default_rng(5).uniform(-1.05, 1.05, (400, 2))):
+        assert np.array_equal(fem.evaluate_at_points(v, points), reference_scan(v, points))
+
+
+@pytest.mark.parametrize("mesh", [generate_interval_mesh(10), generate_disk_mesh(0.3)],
+                         ids=["interval", "disk"])
+def test_evaluate_at_points_checks_its_input(mesh):
+    v = Field(mesh, VH, np.ones(mesh.n_vertices))
+    empty = fem.evaluate_at_points(v, np.empty((0, mesh.dim)))
+    assert empty.shape == (0,)
+    for bad in (np.zeros((2, mesh.dim + 1)), np.zeros((2, 3 - mesh.dim)), np.zeros(2),
+                np.zeros(0), np.full((1, mesh.dim), np.nan), np.full((1, mesh.dim), np.inf)):
+        with pytest.raises(ValueError, match=rf"shape \({len(bad)}"):
+            fem.evaluate_at_points(v, bad)
 
 
 def test_galerkin_orthogonality_poisson():

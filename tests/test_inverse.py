@@ -372,8 +372,8 @@ def test_each_marched_coefficient_is_factorized_once(monkeypatch):
     z = Field(mesh, XH, traj.terminal.values
               + 0.02 * rng.standard_normal(len(mesh.interior)))
     spec = make_spec(mesh, gamma=1e-9, z=z, max_iters=8)
-    # the mesh's own mass and Riesz factorizations are built once per mesh
-    fem.geometry(mesh).mass_solver, fem.geometry(mesh).riesz_solver
+    # the mesh's own Riesz factorization is built once per mesh
+    fem.geometry(mesh).riesz_solver
     factorize, solve_forward = linalg.factorize, timestep.solve_forward
     factored, marched = [], []
 

@@ -179,6 +179,29 @@ class TestMarchData:
         # one for the load, one inside the projection of u0
         assert len(calls) == 2
 
+    def test_marches_on_one_mesh_factor_the_mass_matrix_once(self, monkeypatch):
+        factored, solvers = [], []
+        original = linalg.factorize
+
+        def counting(matrix, *layout):
+            # the data factored, and how many earlier factors are still alive
+            factored.append((matrix.data.copy(), sum(s() is not None for s in solvers)))
+            solver = original(matrix, *layout)
+            solvers.append(weakref.ref(solver))
+            return solver
+
+        monkeypatch.setattr(linalg, "factorize", counting)
+        mesh = generate_disk_mesh(0.3)
+        mass = fem.geometry(mesh).mass[XH].data
+        trajs = []  # each keeps its march's factor alive
+        for alpha in (0.5, 1.0):
+            trajs.append(solve_forward(mesh, unit_coefficient(mesh), 1.0, 1.0, alpha,
+                                       TimeGrid(1.0, 4)))
+        # the projection of u0, then one system per march; the projection's
+        # factor is gone before the first march factors its own
+        assert [np.array_equal(data, mass) for data, _ in factored] == [True, False, False]
+        assert [alive for _, alive in factored] == [0, 0, 1]
+
     def test_switching_data_gives_a_fresh_mesh_bits(self):
         def source(x):
             return np.cos(x)
@@ -395,7 +418,7 @@ class TestBlockedHistory:
         # a forward-1d-sized march: 1599 dofs, 1280 steps
         mesh = generate_interval_mesh(1600)
         q = unit_coefficient(mesh)
-        fem.geometry(mesh).mass_solver
+        fem.march_data(mesh, 1.0, u0_parabola)
         tracemalloc.start()
         try:
             traj = solve_forward(mesh, q, u0_parabola, 1.0, 0.5, TimeGrid(1.0, 1280))
@@ -415,6 +438,16 @@ class TestBlockedHistory:
             assert states() is None
         finally:
             gc.enable()
+
+    def test_terminal_state_does_not_keep_the_march_alive(self):
+        # run_sweep keeps a truth march's terminal state through the transfer
+        mesh = generate_interval_mesh(20)
+        traj = solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0, 0.5,
+                             TimeGrid(1.0, 8))
+        states, terminal = weakref.ref(traj.values), traj.terminal
+        np.testing.assert_array_equal(terminal.values, traj.values[-1])
+        del traj
+        assert states() is None
 
     def test_import_does_not_load_scipy_fft(self):
         src = Path(timestep.__file__).resolve().parent.parent
