@@ -1,7 +1,7 @@
 """2D reconstruction on the unit disk.
 
 Same pipeline as the 1D demo, on the radially symmetric benchmark: the
-coarse inversion mesh has ~209 triangles (the coarsest experiment level)
+coarse inversion mesh has 216 triangles (the coarsest experiment level)
 and the truth is generated on a much finer disk triangulation, so the
 data is not committed to the inversion grid.
 """

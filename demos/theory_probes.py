@@ -16,21 +16,26 @@ than taking on faith:
 
 import fracinv as fi
 
+sine = fi.get_problem("1d-sine")
+sine_mesh = fi.problem_mesh(sine, 1 / 100)
+
 print("== decay of the fractional time derivative ==")
-rows, ratio = fi.verify_decay(fi.get_problem("1d-sine"), 0.5, 10.0, 1000, 1 / 100)
+rows, ratio = fi.verify_decay(sine, sine_mesh, 0.5, fi.TimeGrid(10.0, 1000))
 for t, w in rows[99::200]:
     print(f"  t = {t:5.2f}   t^(a/2) |d^a U|_W1inf = {w:.4f}")
 print(f"  max/min over [1, 10]: {ratio:.2f}")
 
 print("== terminal positivity weight ==")
 for name, T, n, h in (("1d-sine", 1.0, 30, 1 / 113), ("2d-disk", 2.0, 10, 0.25)):
-    mn, cells = fi.check_positivity(fi.get_problem(name), 0.5, T, n, h)
+    problem = fi.get_problem(name)
+    mn, cells = fi.check_positivity(problem, fi.problem_mesh(problem, h), 0.5,
+                                    fi.TimeGrid(T, n))
     print(f"  {name}: min over {len(cells)} cells = {mn:.4e}")
 
 print("== stability quotient: large T versus tiny T ==")
-table = fi.stability_quotient(fi.get_problem("1d-sine"), 0.75,
-                              (1e-5, 3.0, 5.0), 10, seed=0, h=1 / 100,
-                              n_steps=50)
+table = fi.stability_quotient(sine, sine_mesh, 0.75,
+                              [fi.TimeGrid(T, 50) for T in (1e-5, 3.0, 5.0)],
+                              fi.bump_perturbations(sine, sine_mesh, 10, seed=0))
 for T, (qs, mx) in sorted(table.items()):
     print(f"  T = {T:<8g} max quotient = {mx:7.3f}")
 small, large = table[1e-5][1], table[5.0][1]

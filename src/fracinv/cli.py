@@ -386,35 +386,38 @@ def cmd_verify(cfg) -> int:
     if not checks or not set(checks) <= set(known):
         raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
                           f"got {ver['checks']!r}")
-    problem, alpha, h = _problem(cfg), _alpha(cfg), cfg["mesh"]["h"]
-    # the later checks' input is checked before the first check marches
+    problem, alpha = _problem(cfg), _alpha(cfg)
+    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    # every selected check's input is checked before the first check marches
+    if "decay" in checks:
+        decay_grid = _check("verify.decay_T, decay_n_steps", TimeGrid,
+                            ver["decay_T"], ver["decay_n_steps"])
     if "positivity" in checks:
         grid = _grid(cfg)
     if "stability" in checks:
-        T_pair = (ver["stability_T_small"], ver["stability_T_large"])
-        stability = (T_pair, ver["n_perturbations"], ver["seed"], h, cfg["time"]["n_steps"])
-        keys = ("problem.q, mesh.h, time.n_steps, verify.stability_T_small, "
-                "stability_T_large, n_perturbations, seed")
-        _check(keys, experiments.stability_setup, problem, *stability)
+        grids = [_check(f"verify.{key}, time.n_steps", TimeGrid, ver[key],
+                        cfg["time"]["n_steps"])
+                 for key in ("stability_T_small", "stability_T_large")]
+        perturbations = _check("problem.q, verify.n_perturbations, seed",
+                               experiments.bump_perturbations, problem, mesh,
+                               ver["n_perturbations"], ver["seed"])
     tables, lines = [], []  # every check runs before anything is written
     if "decay" in checks:
-        rows, ratio = _check(
-            "mesh.h, verify.decay_T, verify.decay_n_steps", experiments.verify_decay,
-            problem, alpha, ver["decay_T"], ver["decay_n_steps"], h)
+        rows, ratio = _check("problem.u0, f, verify.decay_T, decay_n_steps",
+                             experiments.verify_decay, problem, mesh, alpha, decay_grid)
         tables.append(("decay.csv", "t,weighted_w1inf", rows, "%.18e"))
         lines.append(f"verify decay: max/min weighted ratio over [1, T] = {ratio:.3f}")
     if "positivity" in checks:
-        min_val, cells = _check("mesh.h", experiments.check_positivity, problem,
-                                alpha, grid.T, grid.N, h)
+        min_val, cells = experiments.check_positivity(problem, mesh, alpha, grid)
         tables.append(("positivity.csv", "cell_weight", cells, "%.18e"))
         lines.append(f"verify positivity: min over cells = {min_val:.6e}")
     if "stability" in checks:
-        table = _check(keys, experiments.stability_quotient, problem, alpha, *stability)
+        table = experiments.stability_quotient(problem, mesh, alpha, grids, perturbations)
         rows = [(T, mx) for T, (_, mx) in table.items()]
         tables.append(("stability.csv", "T,max_quotient", rows, "%.17g"))
-        small, large = table[T_pair[0]][1], table[T_pair[1]][1]
-        lines.append(f"verify stability: max quotient T={T_pair[0]:g}: {small:.3f}, "
-                     f"T={T_pair[1]:g}: {large:.3f} (ratio {small / large:.2f})")
+        small, large = (table[g.T][1] for g in grids)
+        lines.append(f"verify stability: max quotient T={grids[0].T:g}: {small:.3f}, "
+                     f"T={grids[1].T:g}: {large:.3f} (ratio {small / large:.2f})")
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     for name, header, rows, fmt in tables:

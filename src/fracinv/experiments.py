@@ -139,6 +139,8 @@ class RunReport:
             "rates": {f"alpha={a:g},T={t:g}": {"e_q": rq, "e_u": ru}
                       for (a, t), (rq, ru) in self.rates.items()},
         }
+        # strict JSON: a non-finite number, such as a failed run's metric, is null
+        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
         return json.dumps(payload, indent=2)
 
 
@@ -272,34 +274,32 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def verify_decay(problem: Problem, alpha: float, T: float, n_steps: int,
-                 h: float):
+def verify_decay(problem: Problem, mesh: Mesh, alpha: float, grid: TimeGrid):
     """Weighted decay table of the discrete fractional derivative.
 
     Computes t_n**(alpha/2) * |d_tau^alpha U^n|_{W^{1,inf}} on the true
     coefficient's forward solve and reports (rows, max/min ratio over
     [1, T]), probing boundedness of the weighted quantity.
     """
-    grid = TimeGrid(T, n_steps)
     times = grid.times[1:]
-    mask = (times >= 1.0) & (times <= T)  # tau * N can round above T
+    mask = (times >= 1.0) & (times <= grid.T)  # tau * N can round above T
     if not mask.any():
         raise ValueError("decay window [1, T] contains no time steps")
-    traj = solve_truth(problem, problem_mesh(problem, h), alpha, grid)
+    traj = solve_truth(problem, mesh, alpha, grid)
     derivs = timestep.discrete_frac_derivative(traj)
     weighted = np.array([t ** (alpha / 2.0) * fem.seminorm_w1inf(dn)
                          for t, dn in zip(times, derivs)])
-    ratio = float(weighted[mask].max() / weighted[mask].min())
-    rows = np.column_stack([times, weighted])
-    return rows, ratio
+    window = weighted[mask]
+    if not window.min() > 0.0:
+        raise ValueError("the weighted derivative vanishes in the decay window "
+                         "[1, T]: the problem's u0 and f leave the state at rest")
+    return np.column_stack([times, weighted]), float(window.max() / window.min())
 
 
-def check_positivity(problem: Problem, alpha: float, T: float, n_steps: int,
-                     h: float):
+def check_positivity(problem: Problem, mesh: Mesh, alpha: float, grid: TimeGrid):
     """Minimum over cells of the terminal positivity weight
     q |grad u|^2 + (f - d_t^alpha u) u, vertex-sampled for the second term."""
-    mesh = problem_mesh(problem, h)
-    traj = solve_truth(problem, mesh, alpha, TimeGrid(T, n_steps))
+    traj = solve_truth(problem, mesh, alpha, grid)
     u_term = traj.terminal
     d_term = timestep.discrete_frac_derivative(traj)[-1]
     grad_sq = np.einsum("cd,cd->c", fem.cell_gradient(u_term),
@@ -313,23 +313,21 @@ def check_positivity(problem: Problem, alpha: float, T: float, n_steps: int,
     return float(cell_values.min()), cell_values
 
 
-def stability_quotient(problem: Problem, alpha: float, T_values,
-                       n_perturbations: int, seed: int, h: float, n_steps: int):
+def stability_quotient(problem: Problem, mesh: Mesh, alpha: float, grids,
+                       perturbations):
     """Stability quotients |q - q_true| / |grad(u(q) - u(q_true))(T)|^(1/2).
 
-    Draws seeded smooth bump perturbations of the true coefficient, of
-    amplitude BUMP_AMPLITUDE, solves both forward problems on the same grid
-    for each terminal time, and returns {T: (quotients, max)}.  The true
-    coefficient must exceed the amplitude on the mesh, so that every
-    perturbed coefficient stays positive.
-    """
-    mesh, grids, perturbed = stability_setup(problem, T_values, n_perturbations,
-                                             seed, h, n_steps)
+    Marches the true problem and each of :func:`bump_perturbations` on each
+    grid and returns {T: (quotients, max)}; a zero true terminal state
+    raises ValueError."""
     out = {}
     for grid in grids:
         u_true = solve_truth(problem, mesh, alpha, grid).terminal
+        if not np.any(u_true.values):
+            raise ValueError(f"the true terminal state at T={grid.T:g} is zero: "
+                             "the problem's u0 and f leave nothing to perturb")
         quotients = []
-        for p, dq in perturbed:
+        for p, dq in perturbations:
             u = solve_truth(p, mesh, alpha, grid).terminal
             du = fem.seminorm_h1(Field(mesh, XH, u.values - u_true.values))
             quotients.append(dq / math.sqrt(du) if du > 0.0 else math.inf)
@@ -337,31 +335,25 @@ def stability_quotient(problem: Problem, alpha: float, T_values,
     return out
 
 
-def stability_setup(problem: Problem, T_values, n_perturbations: int, seed: int,
-                    h: float, n_steps: int):
-    """What :func:`stability_quotient` computes before its first march: the
-    mesh, the time grids, and each perturbed problem with the L2 norm of its
-    coefficient change.
-
-    Raises ValueError on an input the probe rejects, so a caller can check
-    the input before anything is solved.
-    """
+def bump_perturbations(problem: Problem, mesh: Mesh, n_perturbations: int,
+                       seed: int):
+    """Seeded smooth bumps of amplitude BUMP_AMPLITUDE on the true coefficient,
+    which must exceed it on the mesh so that each stays positive: a list of
+    (perturbed problem, L2 norm of its coefficient change on the mesh)."""
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
-    mesh = problem_mesh(problem, h)
     q_true = fem.interpolate(mesh, VH, problem.q_true)
     if not q_true.values.min() > BUMP_AMPLITUDE:
         raise ValueError(f"the coefficient must exceed the perturbation amplitude "
                          f"{BUMP_AMPLITUDE:g} on the mesh, got min "
                          f"{q_true.values.min():g}")
-    grids = [TimeGrid(T, n_steps) for T in T_values]
     rng = np.random.default_rng(seed)
     perturbed = []
     for _ in range(n_perturbations):
         p = replace(problem, q_true=_bumped(problem.q_true, mesh.dim, rng))
         dq = fem.interpolate(mesh, VH, p.q_true).values - q_true.values
         perturbed.append((p, fem.norm_l2(Field(mesh, VH, dq))))
-    return mesh, grids, perturbed
+    return perturbed
 
 
 def _bumped(q, dim: int, rng):

@@ -117,12 +117,14 @@ def _derive_boundary(cells, n_vertices):
 def build_mesh(dim, vertices, cells, domain=None) -> Mesh:
     """Assemble and validate a Mesh, normalizing cell orientation.
 
-    Cells with negative signed measure are flipped; zero-measure cells,
-    dangling vertices, non-face-to-face connectivity and quasi-uniformity
-    ratios above DEFAULT_RHO_MAX raise MeshValidationError.
+    Cells with negative signed measure are flipped; non-finite coordinates,
+    zero-measure cells, dangling vertices, non-face-to-face connectivity and
+    quasi-uniformity ratios above DEFAULT_RHO_MAX raise MeshValidationError.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float).reshape(-1, dim)
     cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, dim + 1)
+    if not np.isfinite(vertices).all():
+        raise MeshValidationError("mesh has a non-finite vertex coordinate")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
         raise MeshValidationError("cell vertex index out of range")
     signed = _signed_measures(dim, vertices, cells)

@@ -16,10 +16,10 @@ from scipy.special import binom
 
 import fracinv as fi
 from fracinv import fem
-from fracinv.experiments import (ExperimentConfig, add_noise, make_meshes,
-                                 run_sweep, solve_truth, stability_quotient,
-                                 transfer_terminal, verify_decay,
-                                 check_positivity)
+from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
+                                 make_meshes, run_sweep, solve_truth,
+                                 stability_quotient, transfer_terminal,
+                                 verify_decay, check_positivity)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
 from fracinv.timestep import TimeGrid
@@ -274,7 +274,9 @@ def test_criterion_8_2d_smoke():
 
 def test_criterion_9_decay_diagnostic():
     start = time.perf_counter()
-    rows, ratio = verify_decay(get_problem("1d-sine"), 0.5, 10.0, 1000, 1.0 / 100.0)
+    problem = get_problem("1d-sine")
+    rows, ratio = verify_decay(problem, problem_mesh(problem, 1.0 / 100.0), 0.5,
+                               TimeGrid(10.0, 1000))
     ok = ratio <= 10.0
     report(9, "decay-diagnostic", ok,
            f"weighted max/min over [1, 10] = {ratio:.2f} <= 10",
@@ -283,8 +285,9 @@ def test_criterion_9_decay_diagnostic():
 
 def test_criterion_10_positivity():
     start = time.perf_counter()
-    mn1, _ = check_positivity(get_problem("1d-sine"), 0.5, 1.0, 30, 1.0 / 113.0)
-    mn2, _ = check_positivity(get_problem("2d-disk"), 0.5, 2.0, 10, 0.25)
+    sine, disk = get_problem("1d-sine"), get_problem("2d-disk")
+    mn1, _ = check_positivity(sine, problem_mesh(sine, 1.0 / 113.0), 0.5, TimeGrid(1.0, 30))
+    mn2, _ = check_positivity(disk, problem_mesh(disk, 0.25), 0.5, TimeGrid(2.0, 10))
     ok = mn1 > 0.0 and mn2 > 0.0
     report(10, "positivity", ok,
            f"min weight 1d={mn1:.3e}, 2d={mn2:.3e} (both > 0)",
@@ -293,8 +296,10 @@ def test_criterion_10_positivity():
 
 def test_criterion_11_stability_contrast():
     start = time.perf_counter()
-    table = stability_quotient(get_problem("1d-sine"), 0.75, (1e-5, 5.0), 10,
-                               seed=0, h=1.0 / 100.0, n_steps=50)
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 1.0 / 100.0)
+    table = stability_quotient(problem, mesh, 0.75, [TimeGrid(1e-5, 50), TimeGrid(5.0, 50)],
+                               bump_perturbations(problem, mesh, 10, seed=0))
     small, large = table[1e-5][1], table[5.0][1]
     ok = small >= 5.0 * large
     report(11, "stability-contrast", ok,

@@ -1,6 +1,6 @@
 import pytest
 
-from fracinv import experiments, timestep
+from fracinv import experiments, fem, mesh, timestep
 from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
                          main, parse_config_text, resolve_config)
 from fracinv.errors import InvalidCoefficientError
@@ -434,6 +434,34 @@ def test_verify_rejects_bad_input_before_any_solve(tmp_path, capsys, monkeypatch
     assert main(["verify", cfg_path, "--set", setting]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("checks", ["decay", "stability"])
+def test_verify_rejects_data_with_no_signal(tmp_path, capsys, checks):
+    # zero u0 and f leave the state at rest: no ratio or quotient to report
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["verify", cfg_path, "--set", "problem.u0=0", "--set", "problem.f=0",
+                 "--set", f"verify.checks={checks}", "--set", "verify.decay_T=2",
+                 "--set", "verify.decay_n_steps=20"]) == EXIT_CONFIG
+    assert "u0 and f" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_builds_one_mesh_for_all_checks(tmp_path, monkeypatch):
+    built = {"mesh": 0, "geometry": 0}
+
+    def counted(kind, build):
+        def wrapper(*args, **kwargs):
+            built[kind] += 1
+            return build(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(mesh, "build_mesh", counted("mesh", mesh.build_mesh))
+    monkeypatch.setattr(fem, "Geometry", counted("geometry", fem.Geometry))
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["verify", cfg_path, "--set", "verify.decay_T=2",
+                 "--set", "verify.decay_n_steps=20",
+                 "--set", "verify.n_perturbations=2"]) == EXIT_OK
+    assert built == {"mesh": 1, "geometry": 1}
 
 
 @pytest.mark.parametrize("config_text, flags, message", [

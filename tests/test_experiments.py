@@ -8,10 +8,10 @@ import pytest
 
 from fracinv import experiments, fem, timestep
 from fracinv.errors import DegenerateDirectionError
-from fracinv.experiments import (ExperimentConfig, add_noise, check_positivity,
-                                 compute_errors, compute_rate, make_meshes,
-                                 run_sweep, solve_truth, stability_quotient,
-                                 transfer_terminal, verify_decay)
+from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
+                                 check_positivity, compute_errors, compute_rate,
+                                 make_meshes, run_sweep, solve_truth,
+                                 stability_quotient, transfer_terminal, verify_decay)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
 from fracinv.timestep import TimeGrid
@@ -197,6 +197,11 @@ def test_run_sweep_records_a_failed_run_and_goes_on(tmp_path, monkeypatch):
     assert len(rows) == 3 and rows[1]["delta"] == "nan"
     assert len(list(out.glob("*_q.field"))) == 2
 
+    def reject(token):
+        raise ValueError(f"report.json is not strict JSON: {token}")
+    record = json.loads((out / "report.json").read_text(), parse_constant=reject)["records"][1]
+    assert (record["delta"], record["e_q"], record["e_u"]) == (None, None, None)
+
 
 def test_run_sweep_fits_rates_over_positive_noise_levels(tmp_path):
     # a noise-free run is reported, but has no place in a fit in log(eps)
@@ -240,7 +245,9 @@ def test_run_sweep_noise_free_below_discretization_floor():
 
 
 def test_verify_decay_bounded_ratio():
-    rows, ratio = verify_decay(get_problem("1d-sine"), 0.5, 4.0, 160, 1.0 / 40.0)
+    problem = get_problem("1d-sine")
+    rows, ratio = verify_decay(problem, problem_mesh(problem, 1.0 / 40.0), 0.5,
+                               TimeGrid(4.0, 160))
     assert rows.shape == (160, 2)
     assert ratio <= 10.0
 
@@ -279,9 +286,11 @@ def test_verify_decay_stationary_state():
 
 
 def test_positivity_examples():
-    mn1, cells1 = check_positivity(get_problem("1d-sine"), 0.5, 1.0, 20, 1.0 / 50.0)
+    sine, disk = get_problem("1d-sine"), get_problem("2d-disk")
+    mn1, cells1 = check_positivity(sine, problem_mesh(sine, 1.0 / 50.0), 0.5,
+                                   TimeGrid(1.0, 20))
     assert mn1 > 0.0
-    mn2, cells2 = check_positivity(get_problem("2d-disk"), 0.5, 2.0, 10, 0.3)
+    mn2, cells2 = check_positivity(disk, problem_mesh(disk, 0.3), 0.5, TimeGrid(2.0, 10))
     assert mn2 > 0.0
     assert len(cells1) == 50
 
@@ -297,8 +306,11 @@ def test_positivity_degenerate_zero_data():
 
 
 def test_stability_quotient_contrast():
-    table = stability_quotient(get_problem("1d-sine"), 0.75, (1e-5, 5.0), 6,
-                               seed=0, h=1.0 / 50.0, n_steps=30)
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 1.0 / 50.0)
+    table = stability_quotient(problem, mesh, 0.75,
+                               [TimeGrid(1e-5, 30), TimeGrid(5.0, 30)],
+                               bump_perturbations(problem, mesh, 6, seed=0))
     assert table[1e-5][1] >= 5.0 * table[5.0][1]
     assert all(len(table[T][0]) == 6 for T in table)
 
@@ -307,29 +319,32 @@ def test_stability_quotient_perturbs_a_large_coefficient():
     # the bumps ride on the coefficient whatever its size, so no two of the
     # ten perturbed coefficients coincide
     problem = dataclasses.replace(get_problem("1d-sine"), q_true=10.0)
-    table = stability_quotient(problem, 0.5, (5.0,), 10, seed=0, h=0.05, n_steps=8)
+    mesh = problem_mesh(problem, 0.05)
+    table = stability_quotient(problem, mesh, 0.5, [TimeGrid(5.0, 8)],
+                               bump_perturbations(problem, mesh, 10, seed=0))
     assert len(set(table[5.0][0])) == 10
 
 
-def test_stability_setup_on_the_disk():
+def test_bump_perturbations_on_the_disk():
     # each perturbation is one Gaussian bump of the given amplitude on the
     # disk's coefficient, and the draw is fixed by the seed
     problem = get_problem("2d-disk")
-    mesh, grids, perturbed = experiments.stability_setup(
-        problem, (1e-5, 5.0), 4, seed=0, h=0.3, n_steps=8)
-    assert mesh.dim == 2 and [g.T for g in grids] == [1e-5, 5.0]
+    mesh = problem_mesh(problem, 0.3)
+    perturbed = bump_perturbations(problem, mesh, 4, seed=0)
     q_true = fem.interpolate(mesh, VH, problem.q_true).values
     for p, dq_norm in perturbed:
         dq = fem.interpolate(mesh, VH, p.q_true).values - q_true
         assert (dq > 0).all() or (dq < 0).all()
         assert np.abs(dq).max() <= experiments.BUMP_AMPLITUDE
         assert dq_norm == fem.norm_l2(Field(mesh, VH, dq)) > 0.0
-    again = experiments.stability_setup(problem, (1e-5, 5.0), 4, seed=0, h=0.3, n_steps=8)
-    assert [n for _, n in again[2]] == [n for _, n in perturbed]
+    again = bump_perturbations(problem, mesh, 4, seed=0)
+    assert [n for _, n in again] == [n for _, n in perturbed]
 
 
 def test_stability_quotient_comparable_large_T():
-    table = stability_quotient(get_problem("1d-sine"), 0.5, (3.0, 5.0), 5,
-                               seed=1, h=1.0 / 40.0, n_steps=20)
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 1.0 / 40.0)
+    table = stability_quotient(problem, mesh, 0.5, [TimeGrid(3.0, 20), TimeGrid(5.0, 20)],
+                               bump_perturbations(problem, mesh, 5, seed=1))
     ratio = table[3.0][1] / table[5.0][1]
     assert 0.2 <= ratio <= 5.0

@@ -114,6 +114,13 @@ def test_load_rejects_out_of_range_index(tmp_path):
         load_mesh(path)
 
 
+def test_load_rejects_non_finite_coordinate(tmp_path):
+    path = tmp_path / "nan.mesh"
+    path.write_text("2 4 2\n0 0\n1 0\n0 1\nnan 1\n0 1 2\n1 3 2\n1 1 1 1\n")
+    with pytest.raises(MeshValidationError, match="non-finite"):
+        load_mesh(path)
+
+
 def test_load_rejects_negative_area_cell(tmp_path):
     # clockwise triangle: negative signed area
     path = tmp_path / "cw.mesh"
@@ -177,6 +184,9 @@ def test_build_mesh_normalizes_orientation():
     pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                      [2.0, 0.0], [2.1, 0.0], [2.0, 0.1]],
                  [[0, 1, 2], [3, 4, 5]], id="2d-diameter-ratio-above-4"),
+    pytest.param(1, [[0.0], [np.nan], [1.0]], [[0, 1], [1, 2]], id="1d-nan-coordinate"),
+    pytest.param(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]],
+                 [[0, 1, 2], [1, 3, 2]], id="2d-nan-coordinate"),
 ])
 def test_build_mesh_rejections(dim, vertices, cells):
     with pytest.raises(MeshValidationError):
