@@ -11,11 +11,11 @@ partial sums multiplying the initial state, which is how the quadrature
 acts on differences from the initial value and avoids cancellation for
 long histories.
 
-All three marches sum their histories with one blocked-FFT routine,
-:func:`_march` (Hairer, Lubich and Schlichte 1985): exact up to rounding,
-O(N log^2 N) rather than O(N^2) per degree of freedom, and no memory
-beyond the state array but bounded FFT temporaries.  The adjoint runs it
-on the time-reversed states.
+All three marches sum their histories with one blocked routine,
+:func:`_march` (after Hairer, Lubich and Schlichte 1985), whose block
+products are dense Toeplitz GEMMs: exact up to rounding, O(N^2) flops per
+degree of freedom at BLAS-3 speed, and no memory beyond the state array
+but bounded temporaries.  The adjoint runs it on the time-reversed states.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -34,7 +34,7 @@ from . import fem, linalg
 from .fem import XH, Field
 from .mesh import Mesh
 
-# Rows per direct-sum leaf of the blocked history, and columns per FFT product.
+# Rows per direct-sum leaf of the blocked history, and output rows per GEMM.
 _LEAF = 64
 _CHUNK = 32
 
@@ -197,12 +197,12 @@ def discrete_frac_derivative(traj: Trajectory) -> list[Field]:
     """The quadrature derivative of the trajectory's order applied to it,
     for n = 1..N.
 
-    All N histories come from one FFT convolution over the stored states.
+    All N histories come from one Toeplitz convolution of the stored states.
     """
     grid, values = traj.grid, traj.values
     b = cq_weights(traj.alpha, grid.N)
     hist = np.zeros((grid.N, values.shape[1]))
-    _convolve(values, b, 2 * grid.N, 1, hist)
+    _convolve(values, b, 1, hist)
     hist -= np.cumsum(b)[1:, None] * values[0]
     hist *= grid.tau ** -traj.alpha
     return [Field(traj.mesh, XH, row) for row in hist]
@@ -212,15 +212,15 @@ def _march(x, b, step):
     """Causal convolution march: x[n] = step(n, sum_{k<n} b[n-k] x[k]) for
     n = 1..len(x)-1, with x[0] given and the later rows zero on entry.
 
-    Blocked FFT history (Hairer, Lubich and Schlichte 1985): leaves of
-    _LEAF rows sum their own history directly; when a leaf completes an
-    aligned block of P rows (P = _LEAF times the lowest set bit of the
-    leaf count), one FFT product adds that block's history to the next P
-    rows.  Each pair of rows is counted once, in a leaf or in exactly one
-    block product, so the result is the direct sum up to rounding, in
-    O(N log^2 N) per column.  A row not yet solved holds the history
-    accumulated so far.  Row 0's history terms are added by each leaf, and
-    a march of at most _LEAF steps is one leaf: the direct sum alone.
+    Blocked history (Hairer, Lubich and Schlichte 1985): leaves of _LEAF
+    rows sum their own history directly; when a leaf completes an aligned
+    block of P rows (P = _LEAF times the lowest set bit of the leaf count),
+    one Toeplitz product adds that block's history to the next P rows.
+    Each pair of rows is counted once, in a leaf or in exactly one block
+    product, so the result is the direct sum up to rounding, in O(N^2)
+    GEMM flops per column.  A row not yet solved holds the history so far.
+    Row 0's history terms are added by each leaf, and a march of at most
+    _LEAF steps is one leaf: the direct sum alone.
     """
     rows = len(x)
     for lo in range(1, rows, _LEAF):
@@ -235,10 +235,7 @@ def _march(x, b, step):
         if hi < rows:
             leaves = (hi - 1) // _LEAF
             size = _LEAF * (leaves & -leaves)
-            target = x[hi:hi + size]
-            # the shortest exact circular length, rounded up to a multiple of _LEAF
-            n_fft = size + _LEAF * -(-len(target) // _LEAF)
-            _convolve(x[hi - size:hi], b, n_fft, size, target)
+            _convolve(x[hi - size:hi], b, size, x[hi:hi + size])
 
 
 def _direct_sum(x, b, lo, n):
@@ -251,19 +248,21 @@ def _direct_sum(x, b, lo, n):
     return weights @ rows
 
 
-def _convolve(rows, b, n_fft, skip, out):
-    """out[i] += sum_j b[skip + i - j] rows[j], by circular FFT products of
-    length n_fft over _CHUNK columns at a time.
-
-    Exact when skip + len(out) <= n_fft and skip + n_fft >= len(rows) +
-    min(len(b), n_fft) - 1: then no wrapped-around term lands in ``out``.
-    """
-    kernel = np.fft.rfft(b[:n_fft], n_fft)[:, None]
-    stop = skip + len(out)
-    for c in range(0, rows.shape[1], _CHUNK):
-        spectrum = np.fft.rfft(rows[:, c:c + _CHUNK], n_fft, axis=0)
-        spectrum *= kernel
-        out[:, c:c + _CHUNK] += np.fft.irfft(spectrum, n_fft, axis=0)[skip:stop]
+def _convolve(rows, b, skip, out):
+    """out[i] += sum_j b[skip + i - j] rows[j], weights below index 0 read
+    as zero, by Toeplitz GEMMs over _CHUNK rows of out at a time.  Each
+    Toeplitz block is a contiguous copy of a sliding window over the
+    zero-padded weights, so its temporaries stay at _CHUNK rows."""
+    m, stop = len(rows), skip + len(out)
+    if len(b) < stop:
+        raise ValueError(f"{len(b)} weights cannot reach index {stop - 1}")
+    # window[i, k] = b[skip + i + k + 1 - m], the weight of row m - 1 - k
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(m), b[:stop])), m)[skip + 1:]
+    # BLAS needs positive strides, also on the time-reversed adjoint view
+    rows, window = (rows[::-1], window) if rows.strides[0] < 0 else (rows, window[:, ::-1])
+    for c in range(0, len(out), _CHUNK):
+        out[c:c + _CHUNK] += np.ascontiguousarray(window[c:c + _CHUNK]) @ rows
 
 
 def _gradient_pairing(mesh, u, v):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.special import binom
@@ -22,6 +22,7 @@ from fracinv.timestep import (TimeGrid, cq_weights, discrete_frac_derivative,
                               solve_adjoint, solve_forward, solve_sensitivity)
 
 LEAF = timestep._LEAF
+CHUNK = timestep._CHUNK
 
 
 # While collecting, hypothesis caches the literals it finds in local modules
@@ -307,7 +308,7 @@ class TestAdjoint:
     def test_duality_identity(self, disk, size, alpha, n_steps, seed):
         # (r, W^N(d)) equals the adjoint-assembled dual vector paired with d,
         # on interval and disk meshes, for any order and step count, direct
-        # (N <= LEAF) and blocked FFT history alike
+        # (N <= LEAF) and blocked history alike
         mesh = generate_disk_mesh(1.0 / min(size, 5)) if disk else generate_interval_mesh(size)
         rng = np.random.default_rng(seed)
         q = Field(mesh, VH, 1.0 + 0.4 * rng.random(mesh.n_vertices))
@@ -380,7 +381,8 @@ def relative_gap(got, expect):
 
 
 class TestBlockedHistory:
-    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 161, 300])
+    # 1100 steps: blocks of up to 512 rows, and a last block clipped to 76 rows
+    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 161, 300, 1100])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
     def test_marches_match_the_direct_sum(self, disk, alpha, n_steps):
@@ -449,6 +451,29 @@ class TestBlockedHistory:
         del traj
         assert states() is None
 
+    def test_march_bytes_do_not_depend_on_blas_threads(self):
+        # the block products are GEMMs, which may run on several BLAS threads
+        src = Path(timestep.__file__).resolve().parent.parent
+        script = (
+            "import sys, numpy as np\n"
+            "from fracinv import fem, timestep\n"
+            "from fracinv.mesh import generate_interval_mesh\n"
+            "mesh = generate_interval_mesh(400)\n"
+            "q = fem.Field(mesh, fem.VH, 1.0 + mesh.vertices[:, 0])\n"
+            "grid = timestep.TimeGrid(1.0, 300)\n"
+            "traj = timestep.solve_forward(mesh, q, lambda x: x * (1 - x), 1.0, 0.5, grid)\n"
+            "r = fem.Field(mesh, fem.XH, np.sin(np.arange(len(mesh.interior))))\n"
+            "adj = timestep.solve_adjoint(traj, grid, r)\n"
+            "sys.stdout.buffer.write(traj.values.tobytes() + adj.states.values.tobytes())\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        runs = [subprocess.run([sys.executable, "-c", script], env=e, capture_output=True,
+                               check=True).stdout
+                for e in (env, dict(env, OPENBLAS_NUM_THREADS="1"))]
+        assert len(runs[0]) == 2 * 301 * 399 * 8
+        assert runs[0] == runs[1]
+
     def test_import_does_not_load_scipy_fft(self):
         src = Path(timestep.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -458,6 +483,41 @@ class TestBlockedHistory:
              "import sys, fracinv; print(sorted(m for m in sys.modules if 'fft' in m))"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert "scipy.fft" not in out and "numpy.fft" in out
+
+
+class TestConvolve:
+    @settings(database=None, derandomize=True, max_examples=60, deadline=None)
+    @given(n_rows=st.integers(1, 70), n_out=st.integers(1, 3 * CHUNK + 5),
+           skip=st.integers(0, 80), spare=st.integers(0, 3), cols=st.integers(1, 4),
+           backwards=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_rows=40, n_out=CHUNK + 1, skip=1, spare=0, cols=3, backwards=False, seed=0)
+    @example(n_rows=40, n_out=2 * CHUNK + 7, skip=5, spare=0, cols=2, backwards=True, seed=1)
+    def test_matches_the_double_loop(self, n_rows, n_out, skip, spare, cols,
+                                     backwards, seed):
+        # rows and out are consecutive slices of one state array, read
+        # backwards in time as the adjoint reads them
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(skip + n_out + spare)
+        states = rng.standard_normal((n_rows + n_out, cols))
+        view = states[::-1] if backwards else states
+        rows, out = view[:n_rows], view[n_rows:]
+        expect = out.copy()
+        for i in range(n_out):
+            for j in range(n_rows):
+                if skip + i - j >= 0:
+                    expect[i] += b[skip + i - j] * rows[j]
+        timestep._convolve(rows, b, skip, out)
+        np.testing.assert_allclose(out, expect, rtol=0,
+                                   atol=1e-13 * n_rows * max(1.0, np.abs(expect).max()))
+
+    def test_weights_must_reach_the_last_row(self):
+        rows, out = np.ones((10, 2)), np.zeros((CHUNK + 3, 2))
+        b = np.ones(4 + len(out) - 1)
+        with pytest.raises(ValueError):
+            timestep._convolve(rows, b, 4, out)
+        np.testing.assert_array_equal(out, 0.0)
+        timestep._convolve(rows, np.ones(4 + len(out)), 4, out)
+        assert out[-1, 0] == 10.0
 
 
 class TestFracDerivative:
@@ -496,7 +556,7 @@ class TestFracDerivative:
             assert np.abs(res).max() <= 1e-10 * np.abs(load).max()
 
     @pytest.mark.parametrize("n_steps", [1, 7, 2 * LEAF + 3])
-    def test_fft_convolution_matches_the_direct_sum(self, n_steps):
+    def test_history_convolution_matches_the_direct_sum(self, n_steps):
         mesh = generate_disk_mesh(0.3)
         grid = TimeGrid(1.0, n_steps)
         values = np.random.default_rng(n_steps).standard_normal(
