@@ -60,19 +60,34 @@ def get_problem(name: str) -> Problem:
                          f"available: {sorted(PROBLEMS)}") from None
 
 
+# Largest mesh problem_mesh builds, in vertices: 17 times the disk mesh of
+# h = 0.035 (5677 vertices) and 62 times the interval of h = 1/1600.  A
+# march stores (N+1) states of about this many entries, 1 GB at N = 1280.
+MAX_VERTICES = 100_000
+
+
 def problem_mesh(problem: Problem, h: float) -> Mesh:
     """Mesh of the problem's domain with target size h.
 
     In 1D the size is rounded to the nearest uniform partition of (0, 1).
-    A size that is not positive and finite, or that leaves no interior
-    vertex (an empty X_h), raises ValueError.
+    A size that is not positive and finite, that leaves no interior vertex
+    (an empty X_h), or whose mesh would have more than MAX_VERTICES
+    vertices raises ValueError; the vertex count is predicted before
+    anything is built: n + 1 for n cells, 1 + 3m(m + 1) for m disk rings.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"mesh size must be positive and finite, got {h}")
+    # the clamp keeps a size too small to count over the budget
     if problem.dim == 1:
-        mesh = generate_interval_mesh(max(1, round(1.0 / h)))
+        n_cells = max(1, round(min(1.0 / h, MAX_VERTICES)))
+        n_vertices = n_cells + 1
     else:
-        mesh = generate_disk_mesh(h)
+        rings = max(1, math.ceil(min(1.5 / h, MAX_VERTICES)))
+        n_vertices = 1 + 3 * rings * (rings + 1)
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(f"mesh size h={h} would build more than the "
+                         f"{MAX_VERTICES} vertices a mesh may have")
+    mesh = generate_interval_mesh(n_cells) if problem.dim == 1 else generate_disk_mesh(h)
     if mesh.boundary.all():
         raise ValueError(f"mesh size h={h} leaves the mesh without an interior vertex")
     return mesh

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from fracinv import experiments, fem, mesh, timestep
+from fracinv import experiments, fem, mesh, problems, timestep
 from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
                          main, parse_config_text, resolve_config)
 from fracinv.errors import InvalidCoefficientError
@@ -338,6 +340,37 @@ def test_bench_rejects_problem_data(tmp_path, capsys, monkeypatch, setting):
 def test_rejected_run_writes_nothing(tmp_path, capsys, command, setting):
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
     assert main([command, cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_disk_truth_mesh_over_the_budget_exits_2_unbuilt(tmp_path, capsys, monkeypatch):
+    # the 1d-sine truth size on the disk is 17.3 million vertices
+    coarse = problems.generate_disk_mesh
+
+    def disk_mesh(target_h):
+        assert target_h == 0.3, f"built the disk mesh of h={target_h}"
+        return coarse(target_h)
+
+    monkeypatch.setattr(problems, "generate_disk_mesh", disk_mesh)
+    cfg_path = write_cfg(tmp_path, f"""
+[problem]
+name = 2d-disk
+alpha = 0.5
+T = 2.0
+
+[mesh]
+h = 0.3
+
+[time]
+n_steps = 8
+
+[output]
+directory = {tmp_path}/o
+""")
+    start = time.perf_counter()
+    assert main(["invert", cfg_path, "--set", "data.h_ref=6.25e-4"]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "data.h_ref" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

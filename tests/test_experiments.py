@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracinv import experiments, fem, timestep
+from fracinv import experiments, fem, problems, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
                                  check_positivity, compute_errors, compute_rate,
@@ -348,3 +348,34 @@ def test_stability_quotient_comparable_large_T():
                                bump_perturbations(problem, mesh, 5, seed=1))
     ratio = table[3.0][1] / table[5.0][1]
     assert 0.2 <= ratio <= 5.0
+
+
+def _unbuilt(*args):
+    raise AssertionError("a mesh over the budget was built")
+
+
+@pytest.mark.parametrize("name, h, n_vertices", [
+    ("1d-sine", 1.0 / 1600.0, 1601), ("1d-sine", 0.3, 4),
+    ("2d-disk", 0.3, 91), ("2d-disk", 0.035, 5677)])
+def test_mesh_budget_is_checked_before_building(monkeypatch, name, h, n_vertices):
+    problem = get_problem(name)
+    assert problem_mesh(problem, h).n_vertices == n_vertices <= problems.MAX_VERTICES
+    monkeypatch.setattr(problems, "MAX_VERTICES", n_vertices)
+    assert problem_mesh(problem, h).n_vertices == n_vertices
+    monkeypatch.setattr(problems, "MAX_VERTICES", n_vertices - 1)
+    monkeypatch.setattr(problems, "generate_interval_mesh", _unbuilt)
+    monkeypatch.setattr(problems, "generate_disk_mesh", _unbuilt)
+    with pytest.raises(ValueError, match="vertices"):
+        problem_mesh(problem, h)
+
+
+@pytest.mark.parametrize("name, h", [
+    ("2d-disk", 6.25e-4), ("1d-sine", 1e-300), ("2d-disk", 1e-300),
+    ("1d-sine", 5e-324), ("2d-disk", 5e-324)])
+def test_oversized_mesh_is_rejected_unbuilt(monkeypatch, name, h):
+    # the disk at h = 1/1600 would have 1 + 3 * 2400 * 2401 = 17.3 million
+    # vertices; 1 / 5e-324 overflows to inf
+    monkeypatch.setattr(problems, "generate_interval_mesh", _unbuilt)
+    monkeypatch.setattr(problems, "generate_disk_mesh", _unbuilt)
+    with pytest.raises(ValueError, match="vertices"):
+        problem_mesh(get_problem(name), h)

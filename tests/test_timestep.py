@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import subprocess
@@ -381,8 +382,10 @@ def relative_gap(got, expect):
 
 
 class TestBlockedHistory:
-    # 1100 steps: blocks of up to 512 rows, and a last block clipped to 76 rows
-    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 161, 300, 1100])
+    # 63-65 steps: the edge of a third leaf; 1100 steps: blocks of up to
+    # 512 rows, and a last block clipped to 76 rows
+    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 63, 64, 65, 161, 300,
+                                         1100])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
     def test_marches_match_the_direct_sum(self, disk, alpha, n_steps):
@@ -474,15 +477,34 @@ class TestBlockedHistory:
         assert len(runs[0]) == 2 * 301 * 399 * 8
         assert runs[0] == runs[1]
 
-    def test_import_does_not_load_scipy_fft(self):
-        src = Path(timestep.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, fracinv; print(sorted(m for m in sys.modules if 'fft' in m))"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert "scipy.fft" not in out and "numpy.fft" in out
+    def test_no_module_uses_an_fft(self):
+        # the block products are GEMMs; scipy.sparse loads numpy.fft on its own,
+        # so sys.modules cannot tell, and the sources are read instead
+        package = Path(timestep.__file__).resolve().parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                assert not any("fft" in name.lower() for name in names), \
+                    f"{path.name}:{node.lineno} uses {names}"
+
+    def test_shipped_coarse_marches_are_one_leaf(self, monkeypatch):
+        # the default and benchmark inversions march on the direct sum alone,
+        # which keeps them bit for bit through changes to the blocked path
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+        from fracinv import cli, experiments
+        steps = {"ExperimentConfig": experiments.ExperimentConfig.n_steps,
+                 "cli time.n_steps": cli.SCHEMA["time"]["n_steps"][1]}
+        steps.update((name, w.n_steps) for name, w in workloads.WORKLOADS.items()
+                     if isinstance(w, workloads.Sweep))
+        assert "sweep-2d" in steps and max(steps.values()) <= LEAF, steps
 
 
 class TestConvolve:
@@ -555,7 +577,7 @@ class TestFracDerivative:
             res = mass @ derivs[n - 1].values + stiff @ traj.values[n] - load
             assert np.abs(res).max() <= 1e-10 * np.abs(load).max()
 
-    @pytest.mark.parametrize("n_steps", [1, 7, 2 * LEAF + 3])
+    @pytest.mark.parametrize("n_steps", [1, 7, 131])
     def test_history_convolution_matches_the_direct_sum(self, n_steps):
         mesh = generate_disk_mesh(0.3)
         grid = TimeGrid(1.0, n_steps)
