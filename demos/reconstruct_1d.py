@@ -11,21 +11,18 @@ from pathlib import Path
 
 import fracinv as fi
 from fracinv import fem
-from fracinv.experiments import (ExperimentConfig, add_noise, make_meshes,
-                                 solve_truth, transfer_terminal)
+from fracinv.experiments import ExperimentConfig, add_noise, exact_data, make_meshes
 from fracinv.fem import VH, XH, Field
 from fracinv.inverse import InverseSpec, StoppingRule, run_inversion
 from fracinv.timestep import TimeGrid
 
 alpha, T, eps = 0.5, 1.0, 1e-2
-config = ExperimentConfig(problem="1d-sine", h=1 / 113, n_steps=30,
-                          h_ref=1 / 1600, n_steps_ref=1280, seed=1)
+config = ExperimentConfig(problem="1d-sine", seed=1)  # the problem's own grids
 problem, coarse, fine = make_meshes(config)
 
 print(f"truth solve on {fine.n_cells} cells x {config.n_steps_ref} steps ...")
-u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, config.n_steps_ref)).terminal
-u_ref = transfer_terminal(u_fine, coarse)
-z, delta = add_noise(u_ref, fi.norm_linf(u_fine), eps, seed=1)
+u_ref, linf = exact_data(problem, fine, coarse, alpha, TimeGrid(T, config.n_steps_ref))
+z, delta = add_noise(u_ref, linf, eps, seed=1)
 print(f"noise level delta = {delta:.3e}")
 
 spec = InverseSpec(mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),

@@ -10,8 +10,7 @@ import numpy as np
 
 import fracinv as fi
 from fracinv import fem
-from fracinv.experiments import (ExperimentConfig, add_noise, make_meshes,
-                                 solve_truth, transfer_terminal)
+from fracinv.experiments import ExperimentConfig, add_noise, exact_data, make_meshes
 from fracinv.fem import VH, Field
 from fracinv.inverse import InverseSpec, StoppingRule, run_inversion
 from fracinv.timestep import TimeGrid
@@ -23,9 +22,8 @@ problem, coarse, fine = make_meshes(config)
 print(f"coarse mesh: {coarse.n_cells} cells, {coarse.n_vertices} vertices")
 print(f"fine mesh:   {fine.n_cells} cells, {fine.n_vertices} vertices")
 
-u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, config.n_steps_ref)).terminal
-u_ref = transfer_terminal(u_fine, coarse)
-z, delta = add_noise(u_ref, fi.norm_linf(u_fine), eps, seed=1)
+u_ref, linf = exact_data(problem, fine, coarse, alpha, TimeGrid(T, config.n_steps_ref))
+z, delta = add_noise(u_ref, linf, eps, seed=1)
 
 spec = InverseSpec(mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),
                    u0=problem.u0, f=problem.f, z_delta=z, gamma=gamma,

@@ -19,7 +19,7 @@ from .mesh import (Mesh, generate_disk_mesh, generate_interval_mesh, load_mesh,
 from .problems import PROBLEMS, Problem, get_problem, problem_mesh
 from .experiments import (ExperimentConfig, RunRecord, RunReport, add_noise,
                           bump_perturbations, check_positivity, compute_errors,
-                          compute_rate, run_sweep, solve_truth,
+                          compute_rate, exact_data, run_sweep, solve_truth,
                           stability_quotient, transfer_terminal, verify_decay)
 from .timestep import (AdjointSolution, TimeGrid, Trajectory, cq_weights,
                        discrete_frac_derivative, save_trajectory, solve_adjoint,

@@ -25,7 +25,7 @@ from . import experiments, fem, inverse, timestep
 from .errors import FracinvError
 from .fem import VH, XH, Field
 from .mesh import save_mesh
-from .problems import Problem, get_problem, problem_mesh
+from .problems import Problem, get_problem, problem_mesh, vertex_count
 from .timestep import TimeGrid
 
 EXIT_OK = 0
@@ -33,8 +33,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
-# section -> key -> (type, default); None default means required.  Defaults
-# the library types hold are read from them.
+# section -> key -> (type, default); a None default means required, except that
+# the grid keys (mesh.h, time.n_steps, data.h_ref, data.n_steps_ref) take the
+# named problem's grids.  Defaults the library types hold are read from them.
 _FLOAT_LIST = "float_list"
 SCHEMA = {
     "problem": {
@@ -46,17 +47,17 @@ SCHEMA = {
         "f": (str, "problem"),   # 'problem' or a constant value
     },
     "mesh": {
-        "h": (float, experiments.ExperimentConfig.h),
+        "h": (float, None),
     },
     "time": {
-        "n_steps": (int, experiments.ExperimentConfig.n_steps),
+        "n_steps": (int, None),
     },
     "data": {
         "file": (str, ""),
         "epsilon": (float, 1e-2),
         "seed": (int, experiments.ExperimentConfig.seed),
-        "h_ref": (float, experiments.ExperimentConfig.h_ref),
-        "n_steps_ref": (int, experiments.ExperimentConfig.n_steps_ref),
+        "h_ref": (float, None),
+        "n_steps_ref": (int, None),
     },
     "inversion": {
         "gamma": (float, 1e-8),
@@ -160,6 +161,11 @@ def resolve_config(sections: dict, overrides) -> dict:
                 out[sec][key] = _convert(sec, key, merged[sec][key])
             else:
                 out[sec][key] = default
+    problem = _check("problem.name", get_problem, out["problem"]["name"])
+    for sec, key in (("mesh", "h"), ("time", "n_steps"), ("data", "h_ref"),
+                     ("data", "n_steps_ref")):
+        if out[sec][key] is None:
+            out[sec][key] = getattr(problem, key)
     return out
 
 
@@ -279,13 +285,13 @@ def _inversion(cfg):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data.file: {exc}") from None
     else:
+        _check("mesh.h, time.n_steps, data.h_ref, data.n_steps_ref",
+               experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
+               data["h_ref"], data["n_steps_ref"])
         fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
-        grid_ref = _check("problem.T, data.n_steps_ref", TimeGrid, grid.T,
-                          data["n_steps_ref"])
-        u_fine = experiments.solve_truth(problem, fine, alpha, grid_ref).terminal
-        z, delta = experiments.add_noise(
-            experiments.transfer_terminal(u_fine, mesh), fem.norm_linf(u_fine),
-            data["epsilon"], data["seed"])
+        grid_ref = TimeGrid(grid.T, data["n_steps_ref"])
+        u_ref, linf = experiments.exact_data(problem, fine, mesh, alpha, grid_ref)
+        z, delta = experiments.add_noise(u_ref, linf, data["epsilon"], data["seed"])
     return problem, _check("data.file", dataclasses.replace, spec, z_delta=z,
                            stop=dataclasses.replace(stop, noise_level=delta))
 
@@ -357,6 +363,8 @@ def cmd_bench(cfg) -> int:
     if any(cfg["problem"][key] != SCHEMA["problem"][key][1] for key in _PROBLEM_DATA):
         raise ConfigError("bench sweeps the named problem as it is defined: "
                           "problem.q, problem.u0 and problem.f must keep their defaults")
+    for key, h in (("mesh.h", cfg["mesh"]["h"]), ("data.h_ref", cfg["data"]["h_ref"])):
+        _check(key, vertex_count, get_problem(cfg["problem"]["name"]), h)  # builds no mesh
     out = _out_dir(cfg)
     config = _check(
         "bench", experiments.ExperimentConfig,

@@ -47,10 +47,10 @@ class ExperimentConfig:
     noise_levels: tuple = (1e-2,)
     gammas: tuple | None = None
     c_gamma: float = 4e-4
-    h: float = 1.0 / 113.0
-    n_steps: int = 30
-    h_ref: float = 1.0 / 1600.0
-    n_steps_ref: int = 1280
+    h: float | None = None  # the four grids: None takes the problem's own
+    n_steps: int | None = None
+    h_ref: float | None = None
+    n_steps_ref: int | None = None
     seed: int = 0
     bounds: tuple = (0.5, 5.0)
     max_iters: int = 200
@@ -60,12 +60,11 @@ class ExperimentConfig:
     def __post_init__(self):
         # reject bad input before any solve, through the library type's own
         # check wherever one exists
-        get_problem(self.problem)
-        if not 0.0 < self.h_ref < self.h < math.inf:
-            raise ValueError("mesh sizes must satisfy 0 < h_ref < h < inf, "
-                             f"got h_ref={self.h_ref}, h={self.h}")
-        if self.n_steps_ref <= self.n_steps:
-            raise ValueError("reference step count must exceed the coarse one")
+        problem = get_problem(self.problem)
+        for key in ("h", "n_steps", "h_ref", "n_steps_ref"):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, getattr(problem, key))
+        check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)
         for T in self.T_values:
             for n_steps in (self.n_steps, self.n_steps_ref):
                 TimeGrid(T, n_steps)
@@ -144,6 +143,14 @@ class RunReport:
         return json.dumps(payload, indent=2)
 
 
+def check_truth_grid(h: float, n_steps: int, h_ref: float, n_steps_ref: int):
+    """ValueError unless the truth grid is finer than the inversion grid."""
+    if not 0.0 < h_ref < h < math.inf:
+        raise ValueError(f"mesh sizes must satisfy 0 < h_ref={h_ref} < h={h} < inf")
+    if n_steps_ref <= n_steps:
+        raise ValueError(f"n_steps_ref={n_steps_ref} must exceed n_steps={n_steps}")
+
+
 def make_meshes(config: ExperimentConfig):
     """Coarse inversion mesh and fine data mesh for the configured problem."""
     problem = get_problem(config.problem)
@@ -163,6 +170,14 @@ def transfer_terminal(u_fine: Field, coarse: Mesh) -> Field:
     """Evaluate the fine P1 terminal state at the coarse interior vertices."""
     vals = fem.evaluate_at_points(u_fine, coarse.vertices[fem.geometry(coarse).interior])
     return Field(coarse, XH, vals)
+
+
+def exact_data(problem: Problem, fine: Mesh, coarse: Mesh, alpha: float,
+               grid_ref: TimeGrid):
+    """The problem's exact data on the coarse mesh and the L-inf norm that
+    scales its noise, from one truth march on the fine mesh and grid_ref."""
+    u_fine = solve_truth(problem, fine, alpha, grid_ref).terminal
+    return transfer_terminal(u_fine, coarse), fem.norm_linf(u_fine)
 
 
 def add_noise(u_coarse: Field, linf_ref: float, eps: float, seed: int):
@@ -221,12 +236,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     rows = [(alpha, T) for alpha in config.alphas for T in config.T_values]
     # every truth solve first, so that the fine mesh, and the factorization
     # it caches, are freed before the inversions
-    truths = []
-    for alpha, T in rows:
-        u_fine = solve_truth(problem, fine, alpha,
-                             TimeGrid(T, config.n_steps_ref)).terminal
-        truths.append((transfer_terminal(u_fine, coarse), fem.norm_linf(u_fine)))
-        del u_fine
+    truths = [exact_data(problem, fine, coarse, alpha, TimeGrid(T, config.n_steps_ref))
+              for alpha, T in rows]
     del fine
     for row_idx, ((alpha, T), (u_ref, linf_ref)) in enumerate(zip(rows, truths)):
         pairs_q, pairs_u = [], []

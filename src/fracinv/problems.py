@@ -25,6 +25,10 @@ class Problem:
     u0: object
     f: object
     T: float
+    h: float  # default grids: the inversion's mesh size and step count,
+    n_steps: int
+    h_ref: float  # and the finer truth grid its exact data come from
+    n_steps_ref: int
 
 
 def _q_sine(x):
@@ -42,13 +46,13 @@ PROBLEMS = {
         q_true=_q_sine,
         u0=lambda x: x * (1.0 - x),
         f=lambda x: np.ones_like(x),
-        T=1.0),
+        T=1.0, h=1.0 / 113.0, n_steps=30, h_ref=1.0 / 1600.0, n_steps_ref=1280),
     "2d-disk": Problem(
         name="2d-disk", dim=2,
         q_true=_q_radial,
         u0=lambda x, y: 1.0 - x * x - y * y,
         f=lambda x, y: np.ones_like(x),
-        T=2.0),
+        T=2.0, h=0.1, n_steps=20, h_ref=0.05, n_steps_ref=160),
 }
 
 
@@ -66,28 +70,30 @@ def get_problem(name: str) -> Problem:
 MAX_VERTICES = 100_000
 
 
-def problem_mesh(problem: Problem, h: float) -> Mesh:
-    """Mesh of the problem's domain with target size h.
-
-    In 1D the size is rounded to the nearest uniform partition of (0, 1).
-    A size that is not positive and finite, that leaves no interior vertex
-    (an empty X_h), or whose mesh would have more than MAX_VERTICES
-    vertices raises ValueError; the vertex count is predicted before
-    anything is built: n + 1 for n cells, 1 + 3m(m + 1) for m disk rings.
-    """
+def vertex_count(problem: Problem, h: float) -> int:
+    """Vertices of the problem's mesh of size h, predicted without building it
+    (n + 1 for n cells, 1 + 3m(m + 1) for m disk rings); ValueError for a size
+    that is not positive and finite or whose mesh exceeds MAX_VERTICES."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"mesh size must be positive and finite, got {h}")
     # the clamp keeps a size too small to count over the budget
     if problem.dim == 1:
-        n_cells = max(1, round(min(1.0 / h, MAX_VERTICES)))
-        n_vertices = n_cells + 1
+        n_vertices = max(1, round(min(1.0 / h, MAX_VERTICES))) + 1
     else:
         rings = max(1, math.ceil(min(1.5 / h, MAX_VERTICES)))
         n_vertices = 1 + 3 * rings * (rings + 1)
     if n_vertices > MAX_VERTICES:
         raise ValueError(f"mesh size h={h} would build more than the "
                          f"{MAX_VERTICES} vertices a mesh may have")
-    mesh = generate_interval_mesh(n_cells) if problem.dim == 1 else generate_disk_mesh(h)
+    return n_vertices
+
+
+def problem_mesh(problem: Problem, h: float) -> Mesh:
+    """Mesh of the problem's domain with target size h, in 1D the nearest
+    uniform partition of (0, 1).  A size :func:`vertex_count` rejects, or
+    one that leaves no interior vertex (an empty X_h), raises ValueError."""
+    n = vertex_count(problem, h)
+    mesh = generate_interval_mesh(n - 1) if problem.dim == 1 else generate_disk_mesh(h)
     if mesh.boundary.all():
         raise ValueError(f"mesh size h={h} leaves the mesh without an interior vertex")
     return mesh

@@ -17,9 +17,8 @@ from scipy.special import binom
 import fracinv as fi
 from fracinv import fem
 from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
-                                 make_meshes, run_sweep, solve_truth,
-                                 stability_quotient, transfer_terminal,
-                                 verify_decay, check_positivity)
+                                 exact_data, make_meshes, run_sweep,
+                                 stability_quotient, verify_decay, check_positivity)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
 from fracinv.timestep import TimeGrid
@@ -128,9 +127,8 @@ def test_criterion_4_gradient_consistency():
     cfg = ExperimentConfig(problem="1d-sine", h=1.0 / 113.0, n_steps=30,
                            h_ref=1.0 / 1600.0, n_steps_ref=1280, seed=1)
     problem, mesh, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, 0.5, TimeGrid(1.0, cfg.n_steps_ref)).terminal
-    z, delta = add_noise(transfer_terminal(u_fine, mesh), fem.norm_linf(u_fine),
-                         1e-2, seed=1)
+    u_ref, linf = exact_data(problem, fine, mesh, 0.5, TimeGrid(1.0, cfg.n_steps_ref))
+    z, delta = add_noise(u_ref, linf, 1e-2, seed=1)
     spec = fi.InverseSpec(mesh=mesh, alpha=0.5, grid=TimeGrid(1.0, 30),
                           u0=get_problem("1d-sine").u0,
                           f=get_problem("1d-sine").f, z_delta=z, gamma=1e-8)
@@ -203,8 +201,7 @@ def _terminal_signal(cfg, alpha, T):
     the inversion's starting coefficient q = 1: the part of the observation
     that carries information about q."""
     problem, coarse, fine = make_meshes(cfg)
-    u_ref = transfer_terminal(
-        solve_truth(problem, fine, alpha, TimeGrid(T, cfg.n_steps_ref)).terminal, coarse)
+    u_ref, _ = exact_data(problem, fine, coarse, alpha, TimeGrid(T, cfg.n_steps_ref))
     q_init = Field(coarse, VH, np.ones(coarse.n_vertices))
     u_init = fi.solve_forward(coarse, q_init, problem.u0, problem.f, alpha,
                               TimeGrid(T, cfg.n_steps)).terminal

@@ -374,6 +374,62 @@ directory = {tmp_path}/o
     assert not (tmp_path / "o").exists()
 
 
+DISK = """
+[problem]
+name = 2d-disk
+alpha = 0.5
+T = 2.0
+"""
+
+
+def test_resolve_fills_unset_grid_keys_from_the_problem():
+    cfg = resolve_config(parse_config_text(DISK), ["time.n_steps=12"])
+    assert (cfg["mesh"]["h"], cfg["time"]["n_steps"], cfg["data"]["h_ref"],
+            cfg["data"]["n_steps_ref"]) == (0.1, 12, 0.05, 160)
+    with pytest.raises(ConfigError, match="problem.name"):
+        resolve_config({"problem": {"name": "3d-cube"}}, [])
+
+
+def test_invert_on_the_disk_needs_no_grid_keys(tmp_path, capsys):
+    # the disk's own grids, recorded in the echoed config
+    cfg_path = write_cfg(tmp_path, DISK + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["invert", cfg_path]) == EXIT_OK
+    echoed = (tmp_path / "o" / "effective-config.cfg").read_text()
+    for line in ("h = 0.1", "n_steps = 20", "h_ref = 0.05", "n_steps_ref = 160"):
+        assert f"\n{line}\n" in echoed
+
+
+@pytest.mark.parametrize("command", ["invert", "gradcheck"])
+@pytest.mark.parametrize("settings", [
+    ["mesh.h=0.1", "time.n_steps=8", "data.h_ref=0.2", "data.n_steps_ref=4"],
+    ["data.h_ref=0.05"], ["data.n_steps_ref=8"]], ids=lambda settings: settings[-1])
+def test_truth_grid_not_finer_exits_2(tmp_path, capsys, monkeypatch, command, settings):
+    def no_solve(*args):
+        raise AssertionError("a coarse truth grid reached a truth solve")
+    monkeypatch.setattr(experiments, "solve_truth", no_solve)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, cfg_path, *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data.h_ref" in err and "data.n_steps_ref" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["data.h_ref", "mesh.h"])
+def test_bench_names_the_mesh_over_the_budget_unbuilt(tmp_path, capsys, monkeypatch, key):
+    # the disk at h = 6.25e-4 would have 17.3 million vertices
+    def unbuilt(*args):
+        raise AssertionError("bench built a disk mesh")
+    monkeypatch.setattr(problems, "generate_disk_mesh", unbuilt)
+    monkeypatch.setattr(mesh, "generate_disk_mesh", unbuilt)
+    cfg_path = write_cfg(tmp_path, DISK + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    start = time.perf_counter()
+    assert main(["bench", cfg_path, "--set", f"{key}=6.25e-4"]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_invert_honours_problem_data(tmp_path, capsys):
     # zero u0 and f make the data pure noise, which q_init already fits
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")

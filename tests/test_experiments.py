@@ -10,7 +10,7 @@ from fracinv import experiments, fem, problems, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
                                  check_positivity, compute_errors, compute_rate,
-                                 make_meshes, run_sweep, solve_truth,
+                                 exact_data, make_meshes, run_sweep, solve_truth,
                                  stability_quotient, transfer_terminal, verify_decay)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
@@ -41,6 +41,25 @@ def test_config_builds_no_mesh(monkeypatch):
     ExperimentConfig(problem="2d-disk", alphas=(0.25, 1.0), T_values=(1e-5, 2.0))
 
 
+@pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+def test_config_takes_the_problems_grids(monkeypatch, name):
+    # the problem's own grids fill the config, and both of its default
+    # meshes fit the budget, all without building a mesh
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+    for build in ("problem_mesh", "generate_interval_mesh", "generate_disk_mesh"):
+        monkeypatch.setattr(problems, build, no_mesh)
+    monkeypatch.setattr(experiments, "problem_mesh", no_mesh)
+    problem = problems.PROBLEMS[name]
+    grids = ("h", "n_steps", "h_ref", "n_steps_ref")
+    cfg = ExperimentConfig(problem=name)
+    assert [getattr(cfg, key) for key in grids] == [getattr(problem, key) for key in grids]
+    for h in (problem.h, problem.h_ref):
+        assert problems.vertex_count(problem, h) <= problems.MAX_VERTICES
+    explicit = ExperimentConfig(problem=name, n_steps=problem.n_steps + 1)
+    assert explicit.n_steps == problem.n_steps + 1 and explicit.h == problem.h
+
+
 def test_gamma_rule():
     cfg = ExperimentConfig(noise_levels=(1e-2, 1e-3), c_gamma=4e-4)
     assert cfg.gamma_for(0) == pytest.approx(4e-8)
@@ -50,25 +69,35 @@ def test_gamma_rule():
 
 
 def synthesize(cfg, alpha, T, eps, seed):
-    """Fine-grid truth, coarse transfer and seeded noise, as run_sweep does."""
+    """Exact data and seeded noise; returns (z, delta, u_ref, linf_ref)."""
     problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, alpha, TimeGrid(T, cfg.n_steps_ref)).terminal
-    u_ref = transfer_terminal(u_fine, coarse)
-    z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed)
-    return z, delta, u_ref
+    u_ref, linf = exact_data(problem, fine, coarse, alpha, TimeGrid(T, cfg.n_steps_ref))
+    z, delta = add_noise(u_ref, linf, eps, seed)
+    return z, delta, u_ref, linf
+
+
+def test_exact_data_is_the_truth_march_transferred():
+    cfg = ExperimentConfig(problem="1d-sine", **FAST)
+    problem, coarse, fine = make_meshes(cfg)
+    grid_ref = TimeGrid(1.0, cfg.n_steps_ref)
+    u_fine = solve_truth(problem, fine, 0.5, grid_ref).terminal
+    u_ref, linf = exact_data(problem, fine, coarse, 0.5, grid_ref)
+    assert u_ref.mesh is coarse and u_ref.space == XH
+    assert np.array_equal(u_ref.values, transfer_terminal(u_fine, coarse).values)
+    assert linf == fem.norm_linf(u_fine)
 
 
 def test_synthesize_zero_noise():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    z, delta, u_ref = synthesize(cfg, 0.5, 1.0, 0.0, seed=5)
+    z, delta, u_ref, _ = synthesize(cfg, 0.5, 1.0, 0.0, seed=5)
     assert delta == 0.0
     assert np.array_equal(z.values, u_ref.values)
 
 
 def test_synthesize_deterministic():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    z1, d1, _ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
-    z2, d2, _ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
+    z1, d1, *_ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
+    z2, d2, *_ = synthesize(cfg, 0.5, 1.0, 1e-2, seed=7)
     assert np.array_equal(z1.values, z2.values)
     assert d1 == d2
 
@@ -76,27 +105,21 @@ def test_synthesize_deterministic():
 def test_synthesize_noise_scale():
     # delta relative to ||u||_L2 tracks eps ||u||_Linf / ||u||_L2 within 20%
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, 0.5, TimeGrid(1.0, cfg.n_steps_ref)).terminal
-    u_ref = transfer_terminal(u_fine, coarse)
     eps = 1e-2
-    z, delta = add_noise(u_ref, fem.norm_linf(u_fine), eps, seed=3)
-    xi_norm_sq = 0.0
+    z, delta, u_ref, linf = synthesize(cfg, 0.5, 1.0, eps, seed=3)
+    coarse = u_ref.mesh
     mass = fem.assemble_mass(coarse, XH)
     rng = np.random.default_rng(3)
     xi = rng.standard_normal(len(coarse.interior))
     xi_norm_sq = float(xi @ (mass @ xi))
-    expect = eps * fem.norm_linf(u_fine) * math.sqrt(xi_norm_sq)
+    expect = eps * linf * math.sqrt(xi_norm_sq)
     assert delta == pytest.approx(expect, rel=1e-12)
 
 
 def test_delta_equals_mass_norm_of_noise():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    problem, coarse, fine = make_meshes(cfg)
-    u_fine = solve_truth(problem, fine, 0.5, TimeGrid(1.0, cfg.n_steps_ref)).terminal
-    u_ref = transfer_terminal(u_fine, coarse)
-    z, delta = add_noise(u_ref, fem.norm_linf(u_fine), 5e-3, seed=11)
-    noise = Field(coarse, XH, z.values - u_ref.values)
+    z, delta, u_ref, _ = synthesize(cfg, 0.5, 1.0, 5e-3, seed=11)
+    noise = Field(u_ref.mesh, XH, z.values - u_ref.values)
     assert delta == pytest.approx(fem.norm_l2(noise), rel=1e-12)
 
 
@@ -359,6 +382,7 @@ def _unbuilt(*args):
     ("2d-disk", 0.3, 91), ("2d-disk", 0.035, 5677)])
 def test_mesh_budget_is_checked_before_building(monkeypatch, name, h, n_vertices):
     problem = get_problem(name)
+    assert problems.vertex_count(problem, h) == n_vertices
     assert problem_mesh(problem, h).n_vertices == n_vertices <= problems.MAX_VERTICES
     monkeypatch.setattr(problems, "MAX_VERTICES", n_vertices)
     assert problem_mesh(problem, h).n_vertices == n_vertices

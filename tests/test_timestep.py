@@ -499,9 +499,8 @@ class TestBlockedHistory:
         # which keeps them bit for bit through changes to the blocked path
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
-        from fracinv import cli, experiments
-        steps = {"ExperimentConfig": experiments.ExperimentConfig.n_steps,
-                 "cli time.n_steps": cli.SCHEMA["time"]["n_steps"][1]}
+        from fracinv.problems import PROBLEMS
+        steps = {name: problem.n_steps for name, problem in PROBLEMS.items()}
         steps.update((name, w.n_steps) for name, w in workloads.WORKLOADS.items()
                      if isinstance(w, workloads.Sweep))
         assert "sweep-2d" in steps and max(steps.values()) <= LEAF, steps
