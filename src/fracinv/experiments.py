@@ -27,7 +27,7 @@ from .errors import FracinvError
 from .fem import VH, XH, Field
 from .inverse import InverseSpec, StoppingRule, run_inversion
 from .mesh import Mesh, save_mesh
-from .problems import Problem, get_problem, problem_mesh
+from .problems import Problem, get_problem, problem_mesh, vertex_count
 from .timestep import TimeGrid, Trajectory
 
 # Peak size of the stability probe's coefficient perturbations.
@@ -65,6 +65,11 @@ class ExperimentConfig:
             if getattr(self, key) is None:
                 object.__setattr__(self, key, getattr(problem, key))
         check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)
+        for key in ("h", "h_ref"):  # the mesh budget, before any mesh is built
+            try:
+                vertex_count(problem, getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         for T in self.T_values:
             for n_steps in (self.n_steps, self.n_steps_ref):
                 TimeGrid(T, n_steps)

@@ -13,10 +13,11 @@ long histories.
 
 All three marches sum their histories with one blocked routine,
 :func:`_march` (after Hairer, Lubich and Schlichte 1985), whose block
-products are dense Toeplitz GEMMs: exact up to rounding, O(N^2) flops per
-degree of freedom at BLAS-3 speed, and no memory beyond the state array
-but bounded temporaries.  The adjoint runs it on the time-reversed states.
-Its leaves of 32 steps keep the coarse inversion marches the direct sum.
+products are dense Toeplitz GEMMs added into the states in place: exact up
+to rounding, O(N^2) flops per degree of freedom at BLAS-3 speed, and no
+memory beyond the state array but bounded temporaries.  The adjoint runs it
+on the time-reversed states.  Marches of at most 32 steps, as the coarse
+inversion marches are, are the direct sum; longer ones use 8-step leaves.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -30,14 +31,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import fem, linalg
 from .fem import XH, Field
 from .mesh import Mesh
 
-# Rows per direct-sum leaf of the blocked history, and output rows per GEMM.
+# Longest one-leaf march, rows per leaf of longer ones, output rows per GEMM.
 _LEAF = 32
-_CHUNK = 32
+_BLOCKED_LEAF = 8
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,11 @@ def solve_sensitivity(forward: Trajectory, d: Field, grid: TimeGrid) -> Trajecto
         raise ValueError("direction must be a V_h field on the forward mesh")
     b = cq_weights(alpha, grid.N)
     mass = fem.geometry(mesh).mass[XH]
-    stiff_d = fem._stiffness_with_coeff(mesh, XH, d.values)
+    # -K(d) U^n for every n, as one sparse product
+    load = -(fem._stiffness_with_coeff(mesh, XH, d.values) @ forward.values.T).T
     scale = grid.tau ** -alpha
-    u = forward.values
     states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
-    _march(states, b, lambda n, hist: solver.solve(
-        -(stiff_d @ u[n]) - scale * (mass @ hist)))
+    _march(states, b, lambda n, hist: solver.solve(load[n] - scale * (mass @ hist)))
     return Trajectory(mesh, grid, states, alpha)
 
 
@@ -219,32 +221,29 @@ def _march(x, b, step):
     """Causal convolution march: x[n] = step(n, sum_{k<n} b[n-k] x[k]) for
     n = 1..len(x)-1, with x[0] given and the later rows zero on entry.
 
-    Blocked history (Hairer, Lubich and Schlichte 1985): leaves of _LEAF
-    rows sum their own history directly; when a leaf completes an aligned
-    block of P rows (P = _LEAF times the lowest set bit of the leaf count),
-    one Toeplitz product adds that block's history to the next P rows.
-    Each pair of rows is counted once, in a leaf or in exactly one block
-    product, so the result is the direct sum up to rounding, in O(N^2)
-    GEMM flops per column.  A row not yet solved holds the history so far.
-    Row 0's history terms are added by each leaf, and a march of at most
-    _LEAF steps is one leaf: the direct sum alone.  step may overwrite hist.
-    _LEAF = 32 moves half the per-step GEMV rows of 64 into the faster GEMMs
-    and keeps each coarse inversion march (N <= 30) one leaf, as 16 would not.
+    Blocked history (Hairer, Lubich and Schlichte 1985): leaves of L rows
+    from row 0 on sum their own history directly; a leaf that ends at row
+    hi completes an aligned block of P rows (P = the lowest set bit of hi,
+    L being a power of two), and one Toeplitz product adds that block's
+    history to the next P rows.  Each pair of rows is counted once, in a
+    leaf or in exactly one block product, so the result is the direct sum
+    up to rounding, in O(N^2) GEMM flops per column.  A row not yet solved
+    holds the history so far; step may overwrite hist.  A march of at most
+    _LEAF steps is one leaf, the direct sum alone, which keeps each coarse
+    inversion march (N <= 30) bit for bit; a longer one takes
+    L = _BLOCKED_LEAF, which leaves each step at most 7 direct-sum rows.
     """
     rows = len(x)
-    for lo in range(1, rows, _LEAF):
-        hi = min(lo + _LEAF, rows)
-        for n in range(lo, hi):
-            if lo == 1:
-                hist = _direct_sum(x, b, 0, n)
-            else:
-                hist = _direct_sum(x, b, lo, n)
+    leaf = rows if rows <= _LEAF + 1 else _BLOCKED_LEAF
+    for lo in range(0, rows, leaf):
+        hi = min(lo + leaf, rows)
+        for n in range(max(lo, 1), hi):
+            hist = _direct_sum(x, b, lo, n)
+            if lo:
                 hist += x[n]
-                hist += b[n] * x[0]
             x[n] = step(n, hist)
         if hi < rows:
-            leaves = (hi - 1) // _LEAF
-            size = _LEAF * (leaves & -leaves)
+            size = hi & -hi
             _convolve(x[hi - size:hi], b, size, x[hi:hi + size])
 
 
@@ -260,9 +259,9 @@ def _direct_sum(x, b, lo, n):
 
 def _convolve(rows, b, skip, out):
     """out[i] += sum_j b[skip + i - j] rows[j], weights below index 0 read
-    as zero, by Toeplitz GEMMs over _CHUNK rows of out at a time.  Each
-    Toeplitz block is a contiguous copy of a sliding window over the
-    zero-padded weights, so its temporaries stay at _CHUNK rows."""
+    as zero, by Toeplitz GEMMs that dgemm adds into _CHUNK rows of out at a
+    time in place; besides the padded weights, the only temporary is each
+    contiguous Toeplitz block."""
     m, stop = len(rows), skip + len(out)
     if len(b) < stop:
         raise ValueError(f"{len(b)} weights cannot reach index {stop - 1}")
@@ -271,8 +270,14 @@ def _convolve(rows, b, skip, out):
         np.concatenate((np.zeros(m), b[:stop])), m)[skip + 1:]
     # BLAS needs positive strides, also on the time-reversed adjoint view
     rows, window = (rows[::-1], window) if rows.strides[0] < 0 else (rows, window[:, ::-1])
+    if out.strides[0] < 0:
+        out, window = out[::-1], window[::-1]
     for c in range(0, len(out), _CHUNK):
-        out[c:c + _CHUNK] += np.ascontiguousarray(window[c:c + _CHUNK]) @ rows
+        chunk = out[c:c + _CHUNK].T  # chunk += rows.T @ block.T, all Fortran order
+        sums = dgemm(1.0, rows.T, np.ascontiguousarray(window[c:c + _CHUNK]).T, 1.0,
+                     chunk, overwrite_c=True)
+        if not np.shares_memory(sums, chunk):  # out rows not contiguous: dgemm copied
+            chunk[...] = sums
 
 
 def _gradient_pairing(mesh, u, v):

@@ -60,6 +60,17 @@ def test_config_takes_the_problems_grids(monkeypatch, name):
     assert explicit.n_steps == problem.n_steps + 1 and explicit.h == problem.h
 
 
+@pytest.mark.parametrize("key, grids", [("h_ref", {}), ("h", dict(h=2e-3, h_ref=1e-3))])
+def test_config_rejects_an_oversized_disk_unbuilt(monkeypatch, key, grids):
+    # the 1d-sine grids on the disk: h = 1/113 fits (87 211 vertices), but
+    # h_ref = 1/1600 would need 17.3 million; both are checked before a build
+    built = []
+    monkeypatch.setattr(problems, "generate_disk_mesh", lambda h: built.append(h))
+    with pytest.raises(ValueError, match=f"^{key}: .*vertices"):
+        dataclasses.replace(ExperimentConfig(**grids), problem="2d-disk")
+    assert built == []
+
+
 def test_gamma_rule():
     cfg = ExperimentConfig(noise_levels=(1e-2, 1e-3), c_gamma=4e-4)
     assert cfg.gamma_for(0) == pytest.approx(4e-8)

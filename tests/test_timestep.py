@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.linalg.blas import dgemm
 from scipy.special import binom
 
 from fracinv import fem, linalg, timestep
@@ -382,10 +383,11 @@ def relative_gap(got, expect):
 
 
 class TestBlockedHistory:
-    # 63-65 steps: the edge of a third leaf; 1100 steps: blocks of up to
-    # 512 rows, and a last block clipped to 76 rows
-    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 63, 64, 65, 161, 300,
-                                         1100])
+    # LEAF + 1 = 33 steps: the first march of several leaves; 39-41 steps:
+    # the edge of a sixth 8-row leaf; 1100 steps: blocks of up to 1024 rows,
+    # the last clipped to 77
+    @pytest.mark.parametrize("n_steps", [1, LEAF - 1, LEAF, LEAF + 1, 39, 40, 41, 63, 64, 65,
+                                         161, 300, 1100])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
     def test_marches_match_the_direct_sum(self, disk, alpha, n_steps):
@@ -431,6 +433,25 @@ class TestBlockedHistory:
         finally:
             tracemalloc.stop()
         assert peak - traj.values.nbytes <= 2 * 2 ** 20
+
+    def test_block_products_are_added_into_the_states(self, monkeypatch):
+        # dgemm writes into its c argument only when that is already in the
+        # Fortran order it reads; otherwise it returns a copy
+        shared = []
+
+        def spy(*args, **kwargs):
+            sums = dgemm(*args, **kwargs)
+            shared.append(np.shares_memory(sums, args[4]))
+            return sums
+        monkeypatch.setattr(timestep, "dgemm", spy)
+        mesh = generate_interval_mesh(30)
+        grid = TimeGrid(1.0, 3 * LEAF)
+        traj = solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0, 0.5, grid)
+        forward = len(shared)
+        r = Field(mesh, XH, np.ones(len(mesh.interior)))
+        solve_adjoint(traj, grid, r)
+        discrete_frac_derivative(traj)
+        assert 0 < forward < len(shared) - forward and all(shared)
 
     def test_march_leaves_no_reference_cycle(self):
         mesh = generate_interval_mesh(20)
@@ -506,6 +527,15 @@ class TestBlockedHistory:
         assert "sweep-2d" in steps and max(steps.values()) <= LEAF, steps
 
 
+def convolve_by_loop(rows, b, skip, out):
+    expect = out.copy()
+    for i in range(len(out)):
+        for j in range(len(rows)):
+            if skip + i - j >= 0:
+                expect[i] += b[skip + i - j] * rows[j]
+    return expect
+
+
 class TestConvolve:
     @settings(database=None, derandomize=True, max_examples=60, deadline=None)
     @given(n_rows=st.integers(1, 70), n_out=st.integers(1, 3 * CHUNK + 5),
@@ -513,6 +543,7 @@ class TestConvolve:
            backwards=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @example(n_rows=40, n_out=CHUNK + 1, skip=1, spare=0, cols=3, backwards=False, seed=0)
     @example(n_rows=40, n_out=2 * CHUNK + 7, skip=5, spare=0, cols=2, backwards=True, seed=1)
+    @example(n_rows=64, n_out=2 * CHUNK + 1, skip=64, spare=0, cols=3, backwards=True, seed=2)
     def test_matches_the_double_loop(self, n_rows, n_out, skip, spare, cols,
                                      backwards, seed):
         # rows and out are consecutive slices of one state array, read
@@ -522,14 +553,40 @@ class TestConvolve:
         states = rng.standard_normal((n_rows + n_out, cols))
         view = states[::-1] if backwards else states
         rows, out = view[:n_rows], view[n_rows:]
-        expect = out.copy()
-        for i in range(n_out):
-            for j in range(n_rows):
-                if skip + i - j >= 0:
-                    expect[i] += b[skip + i - j] * rows[j]
+        expect = convolve_by_loop(rows, b, skip, out)
         timestep._convolve(rows, b, skip, out)
         np.testing.assert_allclose(out, expect, rtol=0,
                                    atol=1e-13 * n_rows * max(1.0, np.abs(expect).max()))
+
+    @pytest.mark.parametrize("backwards", [False, True])
+    def test_products_are_added_in_place(self, backwards):
+        # a CHUNK x cols product temporary would be CHUNK rows of out; the
+        # Toeplitz block is CHUNK x 8 entries
+        rng = np.random.default_rng(5)
+        cols = 20000
+        states = rng.standard_normal((8 + CHUNK, cols))
+        view = states[::-1] if backwards else states
+        rows, out = view[:8], view[8:]
+        b = rng.standard_normal(8 + CHUNK)
+        expect = convolve_by_loop(rows, b, 8, out)
+        tracemalloc.start()
+        try:
+            timestep._convolve(rows, b, 8, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cols
+        np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
+
+    def test_out_rows_need_not_be_contiguous(self):
+        # dgemm hands back a copy here, which is written into out
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((10, 3))
+        out = rng.standard_normal((CHUNK + 3, 6))[:, ::2]
+        b = rng.standard_normal(4 + len(out))
+        expect = convolve_by_loop(rows, b, 4, out)
+        timestep._convolve(rows, b, 4, out)
+        np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
 
     def test_weights_must_reach_the_last_row(self):
         rows, out = np.ones((10, 2)), np.zeros((CHUNK + 3, 2))
