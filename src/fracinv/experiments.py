@@ -65,6 +65,10 @@ class ExperimentConfig:
             if getattr(self, key) is None:
                 object.__setattr__(self, key, getattr(problem, key))
         check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)
+        for key in ("alphas", "T_values", "noise_levels"):  # no empty sweep, no row twice
+            values = getattr(self, key)
+            if not 0 < len(set(values)) == len(values):
+                raise ValueError(f"{key} must be nonempty and distinct, got {values}")
         for key in ("h", "h_ref"):  # the mesh budget, before any mesh is built
             try:
                 vertex_count(problem, getattr(self, key))
@@ -78,8 +82,6 @@ class ExperimentConfig:
         if not all(0.0 <= eps < math.inf for eps in self.noise_levels):
             raise ValueError("noise levels must be nonnegative and finite, "
                              f"got {self.noise_levels}")
-        if len(set(self.noise_levels)) != len(self.noise_levels):
-            raise ValueError(f"noise levels must be distinct, got {self.noise_levels}")
         if self.gammas is not None and len(self.gammas) != len(self.noise_levels):
             raise ValueError("explicit gammas must match the noise levels one-to-one")
         gammas = [self.gamma_for(i) for i in range(len(self.noise_levels))]

@@ -11,13 +11,13 @@ partial sums multiplying the initial state, which is how the quadrature
 acts on differences from the initial value and avoids cancellation for
 long histories.
 
-All three marches sum their histories with one blocked routine,
-:func:`_march` (after Hairer, Lubich and Schlichte 1985), whose block
-products are dense Toeplitz GEMMs added into the states in place: exact up
-to rounding, O(N^2) flops per degree of freedom at BLAS-3 speed, and no
-memory beyond the state array but bounded temporaries.  The adjoint runs it
-on the time-reversed states.  Marches of at most 32 steps, as the coarse
-inversion marches are, are the direct sum; longer ones use 8-step leaves.
+The three marches and the discrete derivative sum their histories with one
+blocked routine, :func:`_march` (after Hairer, Lubich and Schlichte 1985),
+whose block products are dense Toeplitz GEMMs added into the states in
+place: exact up to rounding, O(N^2) flops per degree of freedom at BLAS-3
+speed, and no memory beyond the state array but bounded temporaries.  The
+adjoint runs it on the time-reversed states.  Marches of at most 32 steps
+(every coarse inversion march) are the direct sum; longer ones use 8-step leaves.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -204,21 +204,24 @@ def solve_adjoint(forward: Trajectory, grid: TimeGrid,
 
 def discrete_frac_derivative(traj: Trajectory) -> list[Field]:
     """The quadrature derivative of the trajectory's order applied to it,
-    for n = 1..N.
-
-    All N histories come from one Toeplitz convolution of the stored states.
-    """
+    for n = 1..N, with the histories from :func:`_march` run on a step that
+    records each history and returns the stored state."""
     grid, values = traj.grid, traj.values
     b = cq_weights(traj.alpha, grid.N)
-    hist = np.zeros((grid.N, values.shape[1]))
-    _convolve(values, b, 1, hist)
-    hist -= np.cumsum(b)[1:, None] * values[0]
+    hist, x = np.empty((grid.N, values.shape[1])), np.zeros_like(values)
+    x[0] = values[0]
+
+    def step(n, h):
+        hist[n - 1] = h
+        return values[n]
+    _march(x, b, step)
+    hist += values[1:] - np.cumsum(b)[1:, None] * values[0]
     hist *= grid.tau ** -traj.alpha
     return [Field(traj.mesh, XH, row) for row in hist]
 
 
 def _march(x, b, step):
-    """Causal convolution march: x[n] = step(n, sum_{k<n} b[n-k] x[k]) for
+    """The one CQ history routine: x[n] = step(n, sum_{k<n} b[n-k] x[k]) for
     n = 1..len(x)-1, with x[0] given and the later rows zero on entry.
 
     Blocked history (Hairer, Lubich and Schlichte 1985): leaves of L rows
@@ -244,7 +247,7 @@ def _march(x, b, step):
             x[n] = step(n, hist)
         if hi < rows:
             size = hi & -hi
-            _convolve(x[hi - size:hi], b, size, x[hi:hi + size])
+            _convolve(x[hi - size:hi], b, x[hi:hi + size])
 
 
 def _direct_sum(x, b, lo, n):
@@ -257,27 +260,20 @@ def _direct_sum(x, b, lo, n):
     return weights @ rows
 
 
-def _convolve(rows, b, skip, out):
-    """out[i] += sum_j b[skip + i - j] rows[j], weights below index 0 read
-    as zero, by Toeplitz GEMMs that dgemm adds into _CHUNK rows of out at a
-    time in place; besides the padded weights, the only temporary is each
-    contiguous Toeplitz block."""
-    m, stop = len(rows), skip + len(out)
-    if len(b) < stop:
-        raise ValueError(f"{len(b)} weights cannot reach index {stop - 1}")
-    # window[i, k] = b[skip + i + k + 1 - m], the weight of row m - 1 - k
-    window = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.zeros(m), b[:stop])), m)[skip + 1:]
+def _convolve(rows, b, out):
+    """out[i] += sum_j b[len(rows) + i - j] rows[j]: the history of a
+    finished block added to the rows that follow it (slices of one state
+    array, or both of the adjoint's time-reversed view), by Toeplitz GEMMs
+    that dgemm adds into _CHUNK rows of out at a time in place."""
+    m = len(rows)
+    # window[i, k] = b[1 + i + k], the weight of row m - 1 - k
+    window = np.lib.stride_tricks.sliding_window_view(b[1:m + len(out)], m)
     # BLAS needs positive strides, also on the time-reversed adjoint view
-    rows, window = (rows[::-1], window) if rows.strides[0] < 0 else (rows, window[:, ::-1])
-    if out.strides[0] < 0:
-        out, window = out[::-1], window[::-1]
-    for c in range(0, len(out), _CHUNK):
-        chunk = out[c:c + _CHUNK].T  # chunk += rows.T @ block.T, all Fortran order
-        sums = dgemm(1.0, rows.T, np.ascontiguousarray(window[c:c + _CHUNK]).T, 1.0,
-                     chunk, overwrite_c=True)
-        if not np.shares_memory(sums, chunk):  # out rows not contiguous: dgemm copied
-            chunk[...] = sums
+    rows, out, window = ((rows[::-1], out[::-1], window[::-1]) if rows.strides[0] < 0
+                         else (rows, out, window[:, ::-1]))
+    for c in range(0, len(out), _CHUNK):  # out.T += rows.T @ window.T, Fortran order
+        dgemm(1.0, rows.T, np.ascontiguousarray(window[c:c + _CHUNK]).T, 1.0,
+              out[c:c + _CHUNK].T, overwrite_c=True)
 
 
 def _gradient_pairing(mesh, u, v):

@@ -288,6 +288,20 @@ def test_bench_bad_sweep_input_exits_2_before_any_solve(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["alphas = 0.5 0.5", "alphas =", "noise_levels ="])
+def test_bench_empty_or_repeated_sweep_list_exits_2_unbuilt(tmp_path, capsys,
+                                                           monkeypatch, sweep):
+    def no_mesh(*args):
+        raise AssertionError("bench built a mesh")
+    monkeypatch.setattr(problems, "generate_interval_mesh", no_mesh)
+    monkeypatch.setattr(mesh, "generate_interval_mesh", no_mesh)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[sweep]\n{sweep}\n"
+                                          f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["bench", cfg_path]) == EXIT_CONFIG
+    assert sweep.partition(" ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_invert_reads_data_file(tmp_path, capsys):
     # a forward run's terminal field is the observation of an inversion
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/fw\n")

@@ -29,9 +29,26 @@ def test_config_validation():
                 dict(problem="3d-cube"), dict(discrepancy_factor=0.0),
                 dict(gammas=(math.inf,)), dict(seed=-1), dict(n_steps=2.5),
                 dict(n_steps_ref=40.5), dict(noise_levels=(1e-2, 1e-2)),
-                dict(noise_levels=(0.0, 1e-2, -0.0))):
+                dict(noise_levels=(0.0, 1e-2, -0.0)), dict(alphas=()), dict(T_values=()),
+                dict(noise_levels=()), dict(alphas=(0.5, 0.5)),
+                dict(T_values=(1.0, 2.0, 1.0))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("key, values", [("alphas", ()), ("T_values", ()),
+                                         ("noise_levels", ()), ("alphas", (0.5, 0.5)),
+                                         ("T_values", (1.0, 1.0))])
+def test_empty_or_repeated_sweep_lists_are_rejected_unbuilt(monkeypatch, key, values):
+    # an empty list once built both meshes for a sweep of no runs, and a
+    # repeated one overwrote an earlier row's artifacts and rates
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+    for build in ("generate_interval_mesh", "generate_disk_mesh"):
+        monkeypatch.setattr(problems, build, no_mesh)
+    monkeypatch.setattr(experiments, "problem_mesh", no_mesh)
+    with pytest.raises(ValueError, match=key):
+        run_sweep(ExperimentConfig(**FAST, **{key: values}))
 
 
 def test_config_builds_no_mesh(monkeypatch):

@@ -527,34 +527,32 @@ class TestBlockedHistory:
         assert "sweep-2d" in steps and max(steps.values()) <= LEAF, steps
 
 
-def convolve_by_loop(rows, b, skip, out):
+def convolve_by_loop(rows, b, out):
     expect = out.copy()
     for i in range(len(out)):
         for j in range(len(rows)):
-            if skip + i - j >= 0:
-                expect[i] += b[skip + i - j] * rows[j]
+            expect[i] += b[len(rows) + i - j] * rows[j]
     return expect
 
 
 class TestConvolve:
     @settings(database=None, derandomize=True, max_examples=60, deadline=None)
     @given(n_rows=st.integers(1, 70), n_out=st.integers(1, 3 * CHUNK + 5),
-           skip=st.integers(0, 80), spare=st.integers(0, 3), cols=st.integers(1, 4),
+           spare=st.integers(0, 3), cols=st.integers(1, 4),
            backwards=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n_rows=40, n_out=CHUNK + 1, skip=1, spare=0, cols=3, backwards=False, seed=0)
-    @example(n_rows=40, n_out=2 * CHUNK + 7, skip=5, spare=0, cols=2, backwards=True, seed=1)
-    @example(n_rows=64, n_out=2 * CHUNK + 1, skip=64, spare=0, cols=3, backwards=True, seed=2)
-    def test_matches_the_double_loop(self, n_rows, n_out, skip, spare, cols,
-                                     backwards, seed):
-        # rows and out are consecutive slices of one state array, read
+    @example(n_rows=40, n_out=CHUNK + 1, spare=0, cols=3, backwards=False, seed=0)
+    @example(n_rows=40, n_out=2 * CHUNK + 7, spare=0, cols=2, backwards=True, seed=1)
+    @example(n_rows=64, n_out=2 * CHUNK + 1, spare=0, cols=3, backwards=True, seed=2)
+    def test_matches_the_double_loop(self, n_rows, n_out, spare, cols, backwards, seed):
+        # out follows rows in one state array, as in the march, read
         # backwards in time as the adjoint reads them
         rng = np.random.default_rng(seed)
-        b = rng.standard_normal(skip + n_out + spare)
+        b = rng.standard_normal(n_rows + n_out + spare)
         states = rng.standard_normal((n_rows + n_out, cols))
         view = states[::-1] if backwards else states
         rows, out = view[:n_rows], view[n_rows:]
-        expect = convolve_by_loop(rows, b, skip, out)
-        timestep._convolve(rows, b, skip, out)
+        expect = convolve_by_loop(rows, b, out)
+        timestep._convolve(rows, b, out)
         np.testing.assert_allclose(out, expect, rtol=0,
                                    atol=1e-13 * n_rows * max(1.0, np.abs(expect).max()))
 
@@ -568,34 +566,15 @@ class TestConvolve:
         view = states[::-1] if backwards else states
         rows, out = view[:8], view[8:]
         b = rng.standard_normal(8 + CHUNK)
-        expect = convolve_by_loop(rows, b, 8, out)
+        expect = convolve_by_loop(rows, b, out)
         tracemalloc.start()
         try:
-            timestep._convolve(rows, b, 8, out)
+            timestep._convolve(rows, b, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * cols
         np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
-
-    def test_out_rows_need_not_be_contiguous(self):
-        # dgemm hands back a copy here, which is written into out
-        rng = np.random.default_rng(6)
-        rows = rng.standard_normal((10, 3))
-        out = rng.standard_normal((CHUNK + 3, 6))[:, ::2]
-        b = rng.standard_normal(4 + len(out))
-        expect = convolve_by_loop(rows, b, 4, out)
-        timestep._convolve(rows, b, 4, out)
-        np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
-
-    def test_weights_must_reach_the_last_row(self):
-        rows, out = np.ones((10, 2)), np.zeros((CHUNK + 3, 2))
-        b = np.ones(4 + len(out) - 1)
-        with pytest.raises(ValueError):
-            timestep._convolve(rows, b, 4, out)
-        np.testing.assert_array_equal(out, 0.0)
-        timestep._convolve(rows, np.ones(4 + len(out)), 4, out)
-        assert out[-1, 0] == 10.0
 
 
 class TestFracDerivative:
