@@ -9,11 +9,12 @@ constant gradients of P1 basis functions.  Data integrals use 2-point
 Gauss (1D) / 3-point edge-midpoint (2D) quadrature.
 
 What no coefficient changes (interior dofs, cell measures, basis
-gradients, sparsity patterns and their factor layouts, mass matrices) is
-built once per mesh, by :func:`geometry`.  The load vector of the source
-f and the start vector P_h u0 are computed once per mesh and (f, u0)
-pair, by :func:`march_data`: f and u0 are scalars or pure functions of
-the coordinates, and each mesh keeps one such pair.
+gradients, sparsity patterns and their factor layouts with each pattern's
+band ordering, mass matrices) is built once per mesh, by
+:func:`geometry`.  The load vector of the source f and the start vector
+P_h u0 are computed once per mesh and (f, u0) pair, by
+:func:`march_data`: f and u0 are scalars or pure functions of the
+coordinates, and each mesh keeps one such pair.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class Geometry:
     Built on first use by :func:`geometry` and stored on the mesh, so it
     lives exactly as long as the mesh.  Each space's matrices share one
     CSR pattern: ``scatter`` sums per-cell local matrices into it with a
-    single ``bincount``, and ``factorize`` factors on its factor layout,
-    built on first use like the Riesz factorization.
+    single ``bincount``, and ``factorize`` factors on its factor layout
+    (band Cholesky or SuperLU, see :mod:`linalg`), built on first use like
+    the Riesz factorization.
     """
 
     def __init__(self, mesh: Mesh):

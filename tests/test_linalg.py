@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from fracinv import fem, linalg
 from fracinv.errors import NotSpdError
@@ -97,6 +98,19 @@ def test_manufactured_solution_recovery():
     assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
 
 
+def test_permuted_tridiagonal_matrix_is_band_factored():
+    # wider than tridiagonal in its own order, bandwidth 1 in the band order
+    rng = np.random.default_rng(8)
+    tri = sp.diags([-np.ones(29), 4.0 * np.ones(30), -np.ones(29)], [-1, 0, 1])
+    perm = sp.identity(30, format="csr")[rng.permutation(30)]
+    a = sp.csr_matrix((perm @ tri @ perm.T).toarray())  # canonical
+    layout = linalg.FactorLayout(a.indptr, a.indices)
+    assert layout.order is not None and layout.kd == 1
+    b = rng.standard_normal(30)
+    x = linalg.factorize(a, layout).solve(b)
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_dimension_mismatch():
     solver = linalg.factorize(sp.identity(3, format="csr"))
     with pytest.raises(ValueError):
@@ -126,10 +140,17 @@ def _on_xh_pattern(mesh, data):
 @pytest.mark.parametrize("make_mesh", [lambda: generate_interval_mesh(40),
                                        lambda: generate_disk_mesh(0.15)],
                          ids=["interval", "disk"])
-def test_layout_solutions_equal_plain_splu(make_mesh):
-    # the first factorization on the X_h pattern builds its layout and finds
-    # the column order, later ones reuse both; every solution stays bit for
-    # bit that of a default splu
+def test_layout_solutions_equal_plain_splu(make_mesh, monkeypatch):
+    # the first factorization on the X_h pattern builds its layout, and
+    # later ones reuse it.  The interval's tridiagonal pattern keeps
+    # SuperLU: the first factorization finds the column order, and every
+    # solution stays bit for bit that of a default splu.  The disk's is
+    # ordered once by reverse Cuthill-McKee and band-factored, and every
+    # solution matches a dense solve
+    orderings = []
+    ordering = csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kw: orderings.append(args) or ordering(*args, **kw))
     mesh = make_mesh()
     rng = np.random.default_rng(3)
     geo = fem.geometry(mesh)
@@ -140,10 +161,16 @@ def test_layout_solutions_equal_plain_splu(make_mesh):
         b = rng.standard_normal(len(geo.interior))
         solver = geo.factorize(XH, data)
         layout = geo.layouts[XH]
-        assert layout.perm_c is not None
-        plain = spla.splu(_on_xh_pattern(mesh, data).tocsc())
-        assert np.array_equal(solver.solve(b), plain.solve(b))
+        if mesh.dim == 1:
+            assert layout.order is None and layout.perm_c is not None
+            plain = spla.splu(_on_xh_pattern(mesh, data).tocsc())
+            assert np.array_equal(solver.solve(b), plain.solve(b))
+        else:
+            assert layout.order is not None and layout.perm_c is None
+            dense = np.linalg.solve(_on_xh_pattern(mesh, data).toarray(), b)
+            assert np.linalg.norm(solver.solve(b) - dense) <= 1e-12 * np.linalg.norm(dense)
     assert geo.layouts[XH] is layout
+    assert len(orderings) == (0 if mesh.dim == 1 else 1)
 
 
 def test_layout_path_rejections():
@@ -161,6 +188,10 @@ def test_layout_path_rejections():
     negative.data[layout.diagonal[2]] = -1.0
     with pytest.raises(NotSpdError, match="nonpositive diagonal"):
         linalg.factorize(negative, layout)
+    indefinite = geo.mass[XH].copy()  # diagonal minimum 0.017, eigenvalue minimum -0.037
+    indefinite.data[off_diagonal] *= -3.0
+    with pytest.raises(NotSpdError, match="not positive definite"):
+        linalg.factorize(indefinite, layout)
     with pytest.raises(ValueError, match="pattern"):
         linalg.factorize(geo.mass[VH], layout)
     with pytest.raises(ValueError, match="pattern"):
