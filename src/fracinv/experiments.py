@@ -91,8 +91,8 @@ class ExperimentConfig:
         c0, c1 = self.bounds
         if not 0.0 < c0 < c1:
             raise ValueError(f"bounds must satisfy 0 < c0 < c1, got {self.bounds}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         StoppingRule(discrepancy_factor=self.discrepancy_factor)
         np.random.SeedSequence(self.seed)
 

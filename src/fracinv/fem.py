@@ -78,9 +78,10 @@ class Geometry:
     Built on first use by :func:`geometry` and stored on the mesh, so it
     lives exactly as long as the mesh.  Each space's matrices share one
     CSR pattern: ``scatter`` sums per-cell local matrices into it with a
-    single ``bincount``, and ``factorize`` factors on its factor layout
-    (band Cholesky or SuperLU, see :mod:`linalg`), built on first use like
-    the Riesz factorization.
+    single ``bincount``, and ``factorize`` factors on its factor layout,
+    built on first use like the Riesz factorization: band Cholesky for a
+    pattern wider than tridiagonal, otherwise a plain ``splu`` per
+    factorization that keeps no column order (see :mod:`linalg`).
     """
 
     def __init__(self, mesh: Mesh):

@@ -72,8 +72,8 @@ class InverseSpec:
             raise ValueError(f"bounds must satisfy 0 < c0 < c1, got ({self.c0}, {self.c1})")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if self.z_delta.mesh is not self.mesh or self.z_delta.space != XH:
             raise ValueError("observation must be an X_h field on the spec mesh")
         if not np.isfinite(self.z_delta.values).all():

@@ -7,7 +7,8 @@ sides do not interfere.  Matrices on one CSR pattern share its
 :class:`FactorLayout`, which :mod:`fem` builds once per mesh space.  A
 pattern wider than tridiagonal (every 2D system) is factored by LAPACK
 band Cholesky in its reverse Cuthill-McKee order, any other (every 1D
-system) by SuperLU's sparse LU.
+system) by a plain SuperLU ``splu`` per factorization, which keeps no
+column order between factorizations.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ class FactorLayout:
     Cuthill-McKee ``order`` (inverse ``position``), its bandwidth ``kd`` in
     that order, and the ``slot`` of each lower-triangle entry (``lower``)
     in Fortran-order LAPACK lower band storage of the reordered matrix.
-    Any other (``order`` None) gets the ``gather`` of data into CSC, in the
-    natural column order until the first factorization finds SuperLU's,
-    ``perm_c``, which the pattern fixes."""
+    Any other has ``order`` None and keeps nothing for its factorization."""
 
     def __init__(self, indptr, indices):
         n = len(indptr) - 1
-        self.indptr, self.indices, self.perm_c, self.order = indptr, indices, None, None
+        self.indptr, self.indices, self.order = indptr, indices, None
         rows = np.repeat(np.arange(n), np.diff(indptr))
         keys = np.append(rows * n + indices, n * n)  # sorted, closed by n * n
         wanted = np.concatenate([indices * np.int64(n) + rows, [n * n], np.arange(n) * (n + 1)])
@@ -49,33 +48,15 @@ class FactorLayout:
             self.kd = int(np.abs(i - j).max())
             self.lower = np.flatnonzero(i >= j)
             self.slot = (i - j + (self.kd + 1) * j)[self.lower]
-            return
-        # every array is made here and rewritten in place later: made after
-        # the first factorization, they would lie above its freed working
-        # storage and keep the heap from shrinking (0.5 MB more peak RSS
-        # over twelve forward-1d marches)
-        self.gather, self.csc = self._gather(np.arange(n))
-        self._perm_c = np.empty(n, np.intp)
-
-    def _gather(self, position):
-        csc = sp.csr_matrix((np.arange(len(self.indices)), position[self.indices], self.indptr),
-                            shape=(len(position),) * 2).tocsc()
-        return csc.data, (csc.indices, csc.indptr)
-
-    def arrange(self, perm_c):
-        gather, (indices, indptr) = self._gather(perm_c)
-        self.gather[:], self.csc[0][:], self.csc[1][:] = gather, indices, indptr
-        self._perm_c[:] = perm_c  # a copy: SuperLU's own array keeps its factor alive
-        self.perm_c = self._perm_c
 
 
 class SpdSolver:
     """Reusable factor of a symmetric positive definite matrix: the band
-    Cholesky factor of it reordered by ``order``, or a sparse LU; solutions
-    are permuted by ``perm`` (the inverse order, or SuperLU's columns)."""
+    Cholesky factor of it reordered by ``order``, whose solutions are put
+    back by ``position``, or SuperLU's sparse LU of it."""
 
-    def __init__(self, factor, perm=None, order=None):
-        self._factor, self._perm, self._order = factor, perm, order
+    def __init__(self, factor, order=None, position=None):
+        self._factor, self._order, self._position = factor, order, position
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -83,10 +64,10 @@ class SpdSolver:
         if b.shape != (n,):
             raise ValueError(f"right-hand side has shape {b.shape}, matrix has {n} columns")
         if self._order is None:
-            x = self._factor.solve(b)
-        else:  # dpbtrs's info flags only an illegal argument
-            x, _ = lapack.dpbtrs(self._factor, b[self._order], lower=1, overwrite_b=1)
-        return x if self._perm is None else x[self._perm]
+            return self._factor.solve(b)
+        # dpbtrs's info flags only an illegal argument
+        x, _ = lapack.dpbtrs(self._factor, b[self._order], lower=1, overwrite_b=1)
+        return x[self._position]
 
 
 def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
@@ -95,8 +76,8 @@ def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
 
     A pattern wider than tridiagonal gets ``dpbtrf``'s factor, computed in
     place, and an indefinite matrix raises :class:`NotSpdError`.  Any other
-    pattern's factor is bit for bit a plain ``splu``'s: the first one on a
-    layout finds SuperLU's column order, and later ones are handed it."""
+    pattern gets a plain ``splu`` on each call, which finds its own column
+    order; no order is kept between calls."""
     matrix = matrix.tocsr()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -120,13 +101,9 @@ def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
         ab, info = lapack.dpbtrf(ab.reshape(layout.kd + 1, -1, order="F"), lower=1, overwrite_ab=1)
         if info:
             raise NotSpdError(f"matrix is not positive definite (dpbtrf info {info})")
-        return SpdSolver(ab, layout.position, layout.order)
-    perm_c = layout.perm_c
-    csc = sp.csc_matrix((data[layout.gather], *layout.csc), matrix.shape)
+        return SpdSolver(ab, layout.order, layout.position)
     try:
-        lu = spla.splu(csc, permc_spec=None if perm_c is None else "NATURAL")
+        lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:  # singular factor / zero pivot
         raise NotSpdError(f"factorization broke down: {exc}") from exc
-    if perm_c is None:
-        layout.arrange(lu.perm_c)
-    return SpdSolver(lu, perm_c)
+    return SpdSolver(lu)

@@ -36,6 +36,15 @@ def test_config_validation():
             ExperimentConfig(**bad)
 
 
+def test_non_integer_max_iters_rejected():
+    # a float count once passed the config, and run_sweep then crashed in
+    # its first inversion with a TypeError, which it does not catch
+    for bad in (2.5, 3.0, "5", None):
+        with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+            ExperimentConfig(**FAST, max_iters=bad)
+    assert ExperimentConfig(**FAST, max_iters=np.int64(3)).max_iters == 3
+
+
 @pytest.mark.parametrize("key, values", [("alphas", ()), ("T_values", ()),
                                          ("noise_levels", ()), ("alphas", (0.5, 0.5)),
                                          ("T_values", (1.0, 1.0))])

@@ -393,6 +393,17 @@ def test_each_marched_coefficient_is_factorized_once(monkeypatch):
     assert len(set(factored)) == len(factored) == len(set(marched))
 
 
+def test_non_integer_max_iters_rejected():
+    # a float count once built a spec that run_inversion's loop then
+    # rejected with a TypeError
+    mesh = generate_interval_mesh(8)
+    z = Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH)))
+    for bad in (2.5, 3.0, "5", None):
+        with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+            make_spec(mesh, z=z, max_iters=bad)
+    assert make_spec(mesh, z=z, max_iters=np.int64(3)).max_iters == 3
+
+
 def test_spec_validation():
     mesh = generate_interval_mesh(8)
     z = Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH)))

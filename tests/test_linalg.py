@@ -142,9 +142,9 @@ def _on_xh_pattern(mesh, data):
                          ids=["interval", "disk"])
 def test_layout_solutions_equal_plain_splu(make_mesh, monkeypatch):
     # the first factorization on the X_h pattern builds its layout, and
-    # later ones reuse it.  The interval's tridiagonal pattern keeps
-    # SuperLU: the first factorization finds the column order, and every
-    # solution stays bit for bit that of a default splu.  The disk's is
+    # later ones reuse it.  The interval's tridiagonal pattern gets a
+    # SuperLU splu per factorization, and every solution stays bit for
+    # bit that of a default splu.  The disk's is
     # ordered once by reverse Cuthill-McKee and band-factored, and every
     # solution matches a dense solve
     orderings = []
@@ -162,11 +162,11 @@ def test_layout_solutions_equal_plain_splu(make_mesh, monkeypatch):
         solver = geo.factorize(XH, data)
         layout = geo.layouts[XH]
         if mesh.dim == 1:
-            assert layout.order is None and layout.perm_c is not None
+            assert layout.order is None
             plain = spla.splu(_on_xh_pattern(mesh, data).tocsc())
             assert np.array_equal(solver.solve(b), plain.solve(b))
         else:
-            assert layout.order is not None and layout.perm_c is None
+            assert layout.order is not None
             dense = np.linalg.solve(_on_xh_pattern(mesh, data).toarray(), b)
             assert np.linalg.norm(solver.solve(b) - dense) <= 1e-12 * np.linalg.norm(dense)
     assert geo.layouts[XH] is layout
