@@ -5,10 +5,6 @@ class FracinvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MeshFormatError(FracinvError):
-    """Raised when a mesh file cannot be parsed; message carries the line number."""
-
-
 class MeshValidationError(FracinvError):
     """Raised when mesh data violates a structural invariant."""
 

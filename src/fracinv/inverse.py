@@ -206,9 +206,10 @@ def step_size(spec: InverseSpec, q: Field, d: Field,
 def run_inversion(spec: InverseSpec) -> InversionResult:
     """Projected conjugate gradient loop with a monotone-misfit safeguard.
 
-    Stops on the discrepancy principle when the noise level is known, on a
-    vanished smoothed gradient otherwise, or after ``max_iters`` steps (in
-    which case the best iterate so far is returned with converged=False).
+    Stops on the discrepancy principle when the noise level is known (the
+    last iterate included), on a vanished smoothed gradient otherwise, or
+    after ``max_iters`` steps (in which case the best iterate so far is
+    returned with converged=False).
     If a model step fails to decrease the objective, the step is halved up
     to MAX_BACKTRACKS times and the conjugate recursion restarts from
     steepest descent.  Model steps come from :func:`step_size`.
@@ -223,13 +224,16 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
     converged = False
     reason = "max_iters"
 
-    for k in range(spec.max_iters):
+    for k in range(spec.max_iters + 1):
         # discrepancy rule when the noise level is known; otherwise the
-        # gradient test below is the stopping rule
+        # gradient test below is the stopping rule.  The misfit is known
+        # without a further march, so the last iterate is tested too.
         if spec.stop.noise_level is not None:
             if math.sqrt(2.0 * misfit) <= spec.stop.discrepancy_factor * spec.stop.noise_level:
                 converged, reason = True, "discrepancy"
                 break
+        if k == spec.max_iters:
+            break
         g = smooth_direction(mesh, _raw_gradient(spec, q, traj, residual))
         grad_norm = fem.norm_l2(g)
         if spec.stop.noise_level is None and grad_norm <= spec.stop.gradient_tol:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshFormatError, MeshValidationError
+from .errors import MeshValidationError
 
 DEFAULT_RHO_MAX = 4.0
 
@@ -35,7 +35,7 @@ class Mesh:
     h : float
         Largest cell diameter.
     domain : str or None
-        "interval", "disk", or None for meshes of unknown provenance.
+        "interval", "disk", or None for a mesh built by hand.
     derived : dict
         Data other modules derive from the mesh on first use (the P1
         geometry of ``fem.geometry`` and the one march-data slot of
@@ -213,77 +213,3 @@ def save_mesh(mesh: Mesh, path) -> None:
     lines.append(" ".join("1" if b else "0" for b in mesh.boundary))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path) -> Mesh:
-    """Read a mesh from the plain-text format, validating as it goes.
-
-    Malformed lines raise MeshFormatError with the offending line number.
-    The data must pass :func:`build_mesh` unchanged: any mesh it rejects, a
-    negatively oriented cell, or boundary flags other than the derived
-    ones raise MeshValidationError.
-    """
-    domain = None
-    rows = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if stripped.startswith("#"):
-                parts = stripped[1:].split()
-                if len(parts) == 2 and parts[0] == "domain":
-                    domain = parts[1]
-                continue
-            if stripped:
-                rows.append((ln, stripped))
-    if not rows:
-        raise MeshFormatError("line 1: empty mesh file")
-
-    ln, header = rows[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise MeshFormatError(f"line {ln}: header must be 'dim n_vertices n_cells'")
-    try:
-        dim, n_v, n_c = (int(p) for p in parts)
-    except ValueError:
-        raise MeshFormatError(f"line {ln}: header fields must be integers") from None
-    if dim not in (1, 2):
-        raise MeshFormatError(f"line {ln}: dim must be 1 or 2, got {dim}")
-    if len(rows) != 1 + n_v + n_c + 1:
-        raise MeshFormatError(
-            f"line {ln}: expected {n_v} vertex, {n_c} cell and 1 flag line, "
-            f"found {len(rows) - 1} data lines")
-
-    vertices = np.empty((n_v, dim))
-    for i, (ln, line) in enumerate(rows[1:1 + n_v]):
-        parts = line.split()
-        if len(parts) != dim:
-            raise MeshFormatError(f"line {ln}: expected {dim} coordinate(s)")
-        try:
-            vertices[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"line {ln}: bad coordinate") from None
-
-    cells = np.empty((n_c, dim + 1), dtype=np.int64)
-    for i, (ln, line) in enumerate(rows[1 + n_v:1 + n_v + n_c]):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise MeshFormatError(f"line {ln}: expected {dim + 1} vertex indices")
-        try:
-            cells[i] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"line {ln}: bad vertex index") from None
-
-    ln, line = rows[1 + n_v + n_c]
-    parts = line.split()
-    if len(parts) != n_v or any(p not in ("0", "1") for p in parts):
-        raise MeshFormatError(f"line {ln}: expected {n_v} boundary flags (0/1)")
-    flags = np.array([p == "1" for p in parts])
-
-    mesh = build_mesh(dim, vertices, cells, domain=domain)
-    # files always store positively oriented cells; a cell build_mesh had to
-    # flip means corruption
-    if not np.array_equal(mesh.cells, cells):
-        raise MeshValidationError("file contains a cell with negative signed measure")
-    if not np.array_equal(mesh.boundary, flags):
-        raise MeshValidationError("boundary flags do not match facet structure")
-    return mesh

@@ -393,6 +393,29 @@ def test_each_marched_coefficient_is_factorized_once(monkeypatch):
     assert len(set(factored)) == len(factored) == len(set(marched))
 
 
+def test_discrepancy_met_on_the_last_allowed_step_converges():
+    # the rule was tested only before each step, so a run whose final
+    # allowed step met the target reported "max_iters"
+    mesh = generate_interval_mesh(30)
+    x = mesh.vertices[:, 0]
+    q_true = Field(mesh, VH, 1.0 + 0.3 * np.sin(np.pi * x))
+    traj = timestep.solve_forward(mesh, q_true, u0, 1.0, 0.5, TimeGrid(1.0, 10))
+    noise = 1e-4 * np.random.default_rng(0).standard_normal(len(mesh.interior))
+    z = Field(mesh, XH, traj.terminal.values + noise)
+    delta = float(np.sqrt(noise @ (fem.assemble_mass(mesh, XH) @ noise)))
+    stop = StoppingRule(noise_level=delta, discrepancy_factor=1.1)
+    free = run_inversion(make_spec(mesh, z=z, max_iters=600, stop=stop))
+    assert (free.reason, free.converged) == ("discrepancy", True)
+    assert free.iterations >= 1
+    cut = run_inversion(make_spec(mesh, z=z, max_iters=free.iterations, stop=stop))
+    assert (cut.reason, cut.converged, cut.iterations) == \
+        ("discrepancy", True, free.iterations)
+    assert np.array_equal(cut.q.values, free.q.values)
+    start = run_inversion(make_spec(mesh, z=z, max_iters=0, stop=stop,
+                                    q_init=free.q))
+    assert (start.reason, start.converged, start.iterations) == ("discrepancy", True, 0)
+
+
 def test_non_integer_max_iters_rejected():
     # a float count once built a spec that run_inversion's loop then
     # rejected with a TypeError
