@@ -13,7 +13,7 @@ import fracinv as fi
 from fracinv import fem
 from fracinv.experiments import ExperimentConfig, add_noise, exact_data, make_meshes
 from fracinv.fem import VH, XH, Field
-from fracinv.inverse import InverseSpec, StoppingRule, run_inversion
+from fracinv.inverse import InverseSpec, run_inversion
 from fracinv.timestep import TimeGrid
 
 alpha, T, eps = 0.5, 1.0, 1e-2
@@ -27,7 +27,7 @@ print(f"noise level delta = {delta:.3e}")
 
 spec = InverseSpec(mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),
                    u0=problem.u0, f=problem.f, z_delta=z, gamma=4e-8,
-                   stop=StoppingRule(noise_level=delta, discrepancy_factor=1.05))
+                   noise_level=delta, discrepancy_factor=1.05)
 result = run_inversion(spec)
 
 print(f"stopped after {result.iterations} iterations ({result.reason})")

@@ -12,7 +12,7 @@ import fracinv as fi
 from fracinv import fem
 from fracinv.experiments import ExperimentConfig, add_noise, exact_data, make_meshes
 from fracinv.fem import VH, Field
-from fracinv.inverse import InverseSpec, StoppingRule, run_inversion
+from fracinv.inverse import InverseSpec, run_inversion
 from fracinv.timestep import TimeGrid
 
 alpha, T, eps, gamma = 0.5, 2.0, 1e-2, 1e-6
@@ -27,7 +27,7 @@ z, delta = add_noise(u_ref, linf, eps, seed=1)
 
 spec = InverseSpec(mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),
                    u0=problem.u0, f=problem.f, z_delta=z, gamma=gamma,
-                   stop=StoppingRule(noise_level=delta, discrepancy_factor=1.05))
+                   noise_level=delta, discrepancy_factor=1.05)
 result = run_inversion(spec)
 
 q_dag = fem.interpolate(coarse, VH, problem.q_true)

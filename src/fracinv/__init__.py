@@ -10,9 +10,9 @@ from .fem import (VH, XH, Field, assemble_mass, assemble_stiffness,
                   evaluate_at_points, interpolate, l2_project, load_field,
                   load_vector, norm_l2, norm_linf, save_field, seminorm_h1,
                   seminorm_w1inf)
-from .inverse import (InverseSpec, InversionResult, IterateState, StoppingRule,
-                      cg_direction, gradient, objective, project_admissible,
-                      run_inversion, smooth_direction, step_size)
+from .inverse import (InverseSpec, InversionResult, IterateState, cg_direction,
+                      gradient, objective, project_admissible, run_inversion,
+                      smooth_direction, step_size)
 from .linalg import SpdSolver, factorize
 from .mesh import Mesh, generate_disk_mesh, generate_interval_mesh, save_mesh
 from .problems import PROBLEMS, Problem, get_problem, problem_mesh

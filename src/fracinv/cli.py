@@ -6,8 +6,8 @@ effective configuration is echoed into the output directory so any run
 can be reproduced from its artifacts alone.  A command writes only after
 its last computation, so a rejected input leaves no file behind.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 check failed (gradcheck).
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written included), 3 solver failure, 4 check failed (gradcheck).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import experiments, fem, inverse, timestep
 from .errors import FracinvError
 from .fem import VH, XH, Field
 from .mesh import save_mesh
-from .problems import Problem, get_problem, problem_mesh, vertex_count
+from .problems import Problem, check_march, get_problem, problem_mesh, vertex_count
 from .timestep import TimeGrid
 
 EXIT_OK = 0
@@ -64,8 +64,8 @@ SCHEMA = {
         "c0": (float, inverse.InverseSpec.c0),
         "c1": (float, inverse.InverseSpec.c1),
         "max_iters": (int, inverse.InverseSpec.max_iters),
-        "discrepancy_factor": (float, inverse.StoppingRule.discrepancy_factor),
-        "gradient_tol": (float, inverse.StoppingRule.gradient_tol),
+        "discrepancy_factor": (float, inverse.InverseSpec.discrepancy_factor),
+        "gradient_tol": (float, inverse.InverseSpec.gradient_tol),
         "q_init": (float, 1.0),
     },
     "gradcheck": {
@@ -220,9 +220,25 @@ def _grid(cfg) -> TimeGrid:
                   _require(cfg, "problem", "T"), cfg["time"]["n_steps"])
 
 
+def _check_marches(cfg, problem: Problem, *pairs):
+    """Each (mesh size key, step count key) pair names a march that fits the
+    mesh and march budgets; builds no mesh."""
+    for h_key, n_key in pairs:
+        h, n_steps = (cfg[sec][key] for sec, key in
+                      (name.split(".") for name in (h_key, n_key)))
+        n_vertices = _check(h_key, vertex_count, problem, h)
+        _check(f"{h_key}, {n_key}", check_march, n_vertices, n_steps)
+
+
 def _out_dir(cfg) -> Path:
-    return Path(cfg["output"]["directory"] or os.environ.get(
+    """The output directory, not yet created; ConfigError if it, or a
+    directory it would be made in, exists and is not a directory."""
+    out = Path(cfg["output"]["directory"] or os.environ.get(
         "FRACINV_OUTPUT_DIR", "fracinv-out"))
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"output.directory: {path} exists and is not a directory")
+    return out
 
 
 def _echo_config(cfg, out_dir: Path):
@@ -242,10 +258,10 @@ def _echo_config(cfg, out_dir: Path):
 
 
 def cmd_forward(cfg) -> int:
-    problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
+    problem, alpha, grid, out = _problem(cfg), _alpha(cfg), _grid(cfg), _out_dir(cfg)
+    _check_marches(cfg, problem, ("mesh.h", "time.n_steps"))
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     traj = experiments.solve_truth(problem, mesh, alpha, grid)
-    out = _out_dir(cfg)
     _echo_config(cfg, out)
     save_mesh(mesh, out / "mesh.txt")
     fem.save_field(traj.terminal, out / "u_terminal.field",
@@ -263,44 +279,47 @@ def _inversion(cfg):
     Every input is accepted before the observation is read or synthesized.
     """
     problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
-    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     data, inv = cfg["data"], cfg["inversion"]
+    marches = [("mesh.h", "time.n_steps")]
+    if not data["file"]:
+        _check("mesh.h, time.n_steps, data.h_ref, data.n_steps_ref",
+               experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
+               data["h_ref"], data["n_steps_ref"])
+        marches.append(("data.h_ref", "data.n_steps_ref"))
+    _check_marches(cfg, problem, *marches)
+    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     if not 0.0 <= data["epsilon"] < math.inf:
         raise ConfigError(
             f"data.epsilon must be nonnegative and finite, got {data['epsilon']}")
     _check("data.seed", np.random.SeedSequence, data["seed"])
-    stop = _check("inversion.discrepancy_factor, inversion.gradient_tol",
-                  inverse.StoppingRule, discrepancy_factor=inv["discrepancy_factor"],
-                  gradient_tol=inv["gradient_tol"])
     spec = _check(
-        "inversion.gamma, c0, c1, q_init, max_iters", inverse.InverseSpec,
+        "inversion.gamma, c0, c1, q_init, max_iters, discrepancy_factor, gradient_tol",
+        inverse.InverseSpec,
         mesh=mesh, alpha=alpha, grid=grid, u0=problem.u0, f=problem.f,
         z_delta=Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH))),
         gamma=inv["gamma"], c0=inv["c0"], c1=inv["c1"],
         q_init=Field(mesh, VH, np.full(mesh.n_vertices, inv["q_init"])),
-        max_iters=inv["max_iters"], stop=stop)
+        max_iters=inv["max_iters"], discrepancy_factor=inv["discrepancy_factor"],
+        gradient_tol=inv["gradient_tol"])
     if data["file"]:
         try:
             z, delta = fem.load_field(data["file"], mesh), None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data.file: {exc}") from None
     else:
-        _check("mesh.h, time.n_steps, data.h_ref, data.n_steps_ref",
-               experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
-               data["h_ref"], data["n_steps_ref"])
         fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
         grid_ref = TimeGrid(grid.T, data["n_steps_ref"])
         u_ref, linf = experiments.exact_data(problem, fine, mesh, alpha, grid_ref)
         z, delta = experiments.add_noise(u_ref, linf, data["epsilon"], data["seed"])
     return problem, _check("data.file", dataclasses.replace, spec, z_delta=z,
-                           stop=dataclasses.replace(stop, noise_level=delta))
+                           noise_level=delta)
 
 
 def cmd_invert(cfg) -> int:
+    out = _out_dir(cfg)
     problem, spec = _inversion(cfg)
     result = inverse.run_inversion(spec)
     mesh = spec.mesh
-    out = _out_dir(cfg)
     _echo_config(cfg, out)
     save_mesh(mesh, out / "mesh.txt")
     fem.save_field(result.q, out / "q_reconstructed.field",
@@ -363,8 +382,8 @@ def cmd_bench(cfg) -> int:
     if any(cfg["problem"][key] != SCHEMA["problem"][key][1] for key in _PROBLEM_DATA):
         raise ConfigError("bench sweeps the named problem as it is defined: "
                           "problem.q, problem.u0 and problem.f must keep their defaults")
-    for key, h in (("mesh.h", cfg["mesh"]["h"]), ("data.h_ref", cfg["data"]["h_ref"])):
-        _check(key, vertex_count, get_problem(cfg["problem"]["name"]), h)  # builds no mesh
+    _check_marches(cfg, get_problem(cfg["problem"]["name"]), ("mesh.h", "time.n_steps"),
+                   ("data.h_ref", "data.n_steps_ref"))
     out = _out_dir(cfg)
     config = _check(
         "bench", experiments.ExperimentConfig,
@@ -373,7 +392,7 @@ def cmd_bench(cfg) -> int:
         noise_levels=sweep["noise_levels"], gammas=sweep["gammas"] or None,
         c_gamma=sweep["c_gamma"], h=cfg["mesh"]["h"], n_steps=cfg["time"]["n_steps"],
         h_ref=cfg["data"]["h_ref"], n_steps_ref=cfg["data"]["n_steps_ref"],
-        seed=cfg["data"]["seed"], bounds=(inv["c0"], inv["c1"]),
+        seed=cfg["data"]["seed"], c0=inv["c0"], c1=inv["c1"],
         max_iters=inv["max_iters"], discrepancy_factor=inv["discrepancy_factor"],
         output_dir=str(out))
     report = experiments.run_sweep(config)
@@ -394,7 +413,11 @@ def cmd_verify(cfg) -> int:
     if not checks or not set(checks) <= set(known):
         raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
                           f"got {ver['checks']!r}")
-    problem, alpha = _problem(cfg), _alpha(cfg)
+    problem, alpha, out = _problem(cfg), _alpha(cfg), _out_dir(cfg)
+    marches = [("mesh.h", "verify.decay_n_steps")] if "decay" in checks else []
+    if {"positivity", "stability"} & set(checks):
+        marches.append(("mesh.h", "time.n_steps"))
+    _check_marches(cfg, problem, *marches)
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     # every selected check's input is checked before the first check marches
     if "decay" in checks:
@@ -426,7 +449,6 @@ def cmd_verify(cfg) -> int:
         small, large = (table[g.T][1] for g in grids)
         lines.append(f"verify stability: max quotient T={grids[0].T:g}: {small:.3f}, "
                      f"T={grids[1].T:g}: {large:.3f} (ratio {small / large:.2f})")
-    out = _out_dir(cfg)
     _echo_config(cfg, out)
     for name, header, rows, fmt in tables:
         np.savetxt(out / name, rows, fmt=fmt, delimiter=",", header=header, comments="")
@@ -467,6 +489,9 @@ def main(argv=None) -> int:
     except FracinvError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # the output could not be written
+        print(f"config error: output.directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

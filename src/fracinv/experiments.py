@@ -25,9 +25,9 @@ import numpy as np
 from . import fem, timestep
 from .errors import FracinvError
 from .fem import VH, XH, Field
-from .inverse import InverseSpec, StoppingRule, run_inversion
+from .inverse import InverseSpec, check_settings, run_inversion
 from .mesh import Mesh, save_mesh
-from .problems import Problem, get_problem, problem_mesh, vertex_count
+from .problems import Problem, check_march, get_problem, problem_mesh, vertex_count
 from .timestep import TimeGrid, Trajectory
 
 # Peak size of the stability probe's coefficient perturbations.
@@ -52,9 +52,10 @@ class ExperimentConfig:
     h_ref: float | None = None
     n_steps_ref: int | None = None
     seed: int = 0
-    bounds: tuple = (0.5, 5.0)
-    max_iters: int = 200
-    discrepancy_factor: float = 1.1
+    c0: float = InverseSpec.c0
+    c1: float = InverseSpec.c1
+    max_iters: int = InverseSpec.max_iters
+    discrepancy_factor: float = InverseSpec.discrepancy_factor
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -69,31 +70,26 @@ class ExperimentConfig:
             values = getattr(self, key)
             if not 0 < len(set(values)) == len(values):
                 raise ValueError(f"{key} must be nonempty and distinct, got {values}")
-        for key in ("h", "h_ref"):  # the mesh budget, before any mesh is built
-            try:
-                vertex_count(problem, getattr(self, key))
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
         for T in self.T_values:
             for n_steps in (self.n_steps, self.n_steps_ref):
                 TimeGrid(T, n_steps)
-        for alpha in self.alphas:
-            timestep.cq_weights(alpha, 0)
-        if not all(0.0 <= eps < math.inf for eps in self.noise_levels):
-            raise ValueError("noise levels must be nonnegative and finite, "
-                             f"got {self.noise_levels}")
+        # the mesh and march budgets, before any mesh is built
+        for h_key, n_key in (("h", "n_steps"), ("h_ref", "n_steps_ref")):
+            try:
+                n_vertices = vertex_count(problem, getattr(self, h_key))
+            except ValueError as exc:
+                raise ValueError(f"{h_key}: {exc}") from None
+            try:
+                check_march(n_vertices, getattr(self, n_key))
+            except ValueError as exc:
+                raise ValueError(f"{h_key}, {n_key}: {exc}") from None
         if self.gammas is not None and len(self.gammas) != len(self.noise_levels):
             raise ValueError("explicit gammas must match the noise levels one-to-one")
-        gammas = [self.gamma_for(i) for i in range(len(self.noise_levels))]
-        if not all(0.0 <= gamma < math.inf for gamma in gammas):
-            raise ValueError("regularization parameters must be nonnegative and "
-                             f"finite, got {gammas}")
-        c0, c1 = self.bounds
-        if not 0.0 < c0 < c1:
-            raise ValueError(f"bounds must satisfy 0 < c0 < c1, got {self.bounds}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
-            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
-        StoppingRule(discrepancy_factor=self.discrepancy_factor)
+        # eps scales each run's noise level delta, so it obeys delta's rule
+        for alpha in self.alphas:
+            for i, eps in enumerate(self.noise_levels):
+                check_settings(alpha, self.gamma_for(i), self.c0, self.c1,
+                               self.max_iters, self.discrepancy_factor, noise_level=eps)
         np.random.SeedSequence(self.seed)
 
     def gamma_for(self, i: int) -> float:
@@ -256,10 +252,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                 spec = InverseSpec(
                     mesh=coarse, alpha=alpha, grid=TimeGrid(T, config.n_steps),
                     u0=problem.u0, f=problem.f, z_delta=z, gamma=gamma,
-                    c0=config.bounds[0], c1=config.bounds[1],
-                    max_iters=config.max_iters,
-                    stop=StoppingRule(noise_level=delta,
-                                      discrepancy_factor=config.discrepancy_factor))
+                    c0=config.c0, c1=config.c1, max_iters=config.max_iters,
+                    noise_level=delta, discrepancy_factor=config.discrepancy_factor)
                 result = run_inversion(spec)
                 u_term = timestep.solve_forward(
                     coarse, result.q, spec.u0, spec.f, alpha, spec.grid).terminal

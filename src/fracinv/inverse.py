@@ -16,7 +16,7 @@ mass-matrix L2 products of the smoothed, primal objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +29,11 @@ from .timestep import TimeGrid
 MAX_BACKTRACKS = 20
 
 
-@dataclass(frozen=True)
-class StoppingRule:
-    """Stopping parameters: discrepancy when the noise level is known,
-    otherwise a gradient-norm tolerance."""
-
-    noise_level: float | None = None
-    discrepancy_factor: float = 1.1
-    gradient_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.discrepancy_factor < math.inf:
-            raise ValueError("discrepancy factor must be positive and finite, "
-                             f"got {self.discrepancy_factor}")
-        if not 0.0 <= self.gradient_tol < math.inf:
-            raise ValueError("gradient tolerance must be nonnegative and finite, "
-                             f"got {self.gradient_tol}")
-        if self.noise_level is not None and not 0.0 <= self.noise_level < math.inf:
-            raise ValueError("noise level must be nonnegative and finite, "
-                             f"got {self.noise_level}")
-
-
 @dataclass(frozen=True, eq=False)
 class InverseSpec:
-    """One reconstruction problem: data, regularization and constraints."""
+    """One reconstruction problem: data, regularization, constraints and the
+    stopping rule, the discrepancy principle when the noise level is known
+    and otherwise a gradient-norm tolerance."""
 
     mesh: Mesh
     alpha: float
@@ -65,15 +46,13 @@ class InverseSpec:
     c1: float = 5.0
     q_init: Field | None = None
     max_iters: int = 200
-    stop: StoppingRule = dataclass_field(default_factory=StoppingRule)
+    noise_level: float | None = None
+    discrepancy_factor: float = 1.1
+    gradient_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.c0 < self.c1):
-            raise ValueError(f"bounds must satisfy 0 < c0 < c1, got ({self.c0}, {self.c1})")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
-            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
+        check_settings(self.alpha, self.gamma, self.c0, self.c1, self.max_iters,
+                       self.discrepancy_factor, self.gradient_tol, self.noise_level)
         if self.z_delta.mesh is not self.mesh or self.z_delta.space != XH:
             raise ValueError("observation must be an X_h field on the spec mesh")
         if not np.isfinite(self.z_delta.values).all():
@@ -86,6 +65,27 @@ class InverseSpec:
             raise ValueError("initial coefficient has non-finite entries")
         if not ((q0 >= self.c0) & (q0 <= self.c1)).all():
             raise ValueError("initial coefficient violates the admissible bounds")
+
+
+def check_settings(alpha, gamma, c0, c1, max_iters, discrepancy_factor,
+                   gradient_tol=InverseSpec.gradient_tol, noise_level=None):
+    """ValueError unless the scalar settings of an :class:`InverseSpec` are
+    admissible; the one place their rules are written."""
+    timestep.cq_weights(alpha, 0)
+    if noise_level is not None and not 0.0 <= noise_level < math.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got {noise_level}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    if not 0.0 < c0 < c1:
+        raise ValueError(f"bounds must satisfy 0 < c0 < c1, got ({c0}, {c1})")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
+    if not 0.0 < discrepancy_factor < math.inf:
+        raise ValueError("discrepancy factor must be positive and finite, "
+                         f"got {discrepancy_factor}")
+    if not 0.0 <= gradient_tol < math.inf:
+        raise ValueError("gradient tolerance must be nonnegative and finite, "
+                         f"got {gradient_tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,11 +189,11 @@ def step_size(spec: InverseSpec, q: Field, d: Field,
         raise DegenerateDirectionError(
             "search direction lies in the null space of the linearized model")
     s = numer / denom
-    if spec.stop.noise_level is not None and s > 0.0 and ww > 0.0:
+    if spec.noise_level is not None and s > 0.0 and ww > 0.0:
         # do not step through the discrepancy sphere: if the linearized
         # residual at s would undershoot the stopping target, land on it
         rr = float(r @ (mass_x @ r))
-        target = (spec.stop.discrepancy_factor * spec.stop.noise_level) ** 2
+        target = (spec.discrepancy_factor * spec.noise_level) ** 2
         if rr > target and rr + 2.0 * s * rw + s * s * ww < target:
             disc = rw * rw - ww * (rr - target)
             if disc >= 0.0:
@@ -228,15 +228,15 @@ def run_inversion(spec: InverseSpec) -> InversionResult:
         # discrepancy rule when the noise level is known; otherwise the
         # gradient test below is the stopping rule.  The misfit is known
         # without a further march, so the last iterate is tested too.
-        if spec.stop.noise_level is not None:
-            if math.sqrt(2.0 * misfit) <= spec.stop.discrepancy_factor * spec.stop.noise_level:
+        if spec.noise_level is not None:
+            if math.sqrt(2.0 * misfit) <= spec.discrepancy_factor * spec.noise_level:
                 converged, reason = True, "discrepancy"
                 break
         if k == spec.max_iters:
             break
         g = smooth_direction(mesh, _raw_gradient(spec, q, traj, residual))
         grad_norm = fem.norm_l2(g)
-        if spec.stop.noise_level is None and grad_norm <= spec.stop.gradient_tol:
+        if spec.noise_level is None and grad_norm <= spec.gradient_tol:
             converged, reason = True, "gradient"
             break
 

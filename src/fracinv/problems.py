@@ -66,7 +66,8 @@ def get_problem(name: str) -> Problem:
 
 # Largest mesh problem_mesh builds, in vertices: 17 times the disk mesh of
 # h = 0.035 (5677 vertices) and 62 times the interval of h = 1/1600.  A
-# march stores (N+1) states of about this many entries, 1 GB at N = 1280.
+# march stores (N+1) states of about this many entries, 1 GB at N = 1280,
+# and check_march admits no march that stores more.
 MAX_VERTICES = 100_000
 
 
@@ -86,6 +87,16 @@ def vertex_count(problem: Problem, h: float) -> int:
         raise ValueError(f"mesh size h={h} would build more than the "
                          f"{MAX_VERTICES} vertices a mesh may have")
     return n_vertices
+
+
+def check_march(n_vertices: int, n_steps: int):
+    """ValueError for a march of n_steps on a mesh of n_vertices whose
+    (n_steps + 1) stored states would hold more values than 1281 states of
+    MAX_VERTICES values each."""
+    budget = MAX_VERTICES * 1281
+    if (n_steps + 1) * n_vertices > budget:
+        raise ValueError(f"{n_steps} steps on {n_vertices} vertices would store "
+                         f"more than the {budget} state values a march may hold")
 
 
 def problem_mesh(problem: Problem, h: float) -> Mesh:

@@ -444,6 +444,61 @@ def test_bench_names_the_mesh_over_the_budget_unbuilt(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+BIG = "1000000000000"
+
+
+@pytest.mark.parametrize("command, settings, keys", [
+    ("forward", [f"time.n_steps={BIG}"], "mesh.h, time.n_steps"),
+    ("invert", [f"data.n_steps_ref={BIG}"], "data.h_ref, data.n_steps_ref"),
+    ("gradcheck", [f"time.n_steps={BIG}", f"data.n_steps_ref={BIG}1"],
+     "mesh.h, time.n_steps"),
+    ("bench", [f"data.n_steps_ref={BIG}"], "data.h_ref, data.n_steps_ref"),
+    ("verify", ["verify.checks=decay", f"verify.decay_n_steps={BIG}"],
+     "mesh.h, verify.decay_n_steps"),
+    ("verify", ["verify.checks=positivity", f"time.n_steps={BIG}"],
+     "mesh.h, time.n_steps")],
+    ids=["forward", "invert", "gradcheck", "bench", "verify-decay", "verify-positivity"])
+def test_march_over_the_budget_exits_2_unbuilt(tmp_path, capsys, monkeypatch,
+                                               command, settings, keys):
+    # 10**12 steps once died with a MemoryError allocating the CQ weights
+    # (7.28 TiB), after the mesh was built
+    def unbuilt(*args):
+        raise AssertionError("a march over the budget built a mesh")
+    monkeypatch.setattr(problems, "generate_interval_mesh", unbuilt)
+    monkeypatch.setattr(mesh, "generate_interval_mesh", unbuilt)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, cfg_path, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {keys}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "bench"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_output_directory_that_is_a_file_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, below):
+    # a file in the directory's place once raised FileExistsError after the
+    # solve (forward) or NotADirectoryError from run_sweep's mkdir (bench)
+    def no_solve(*args):
+        raise AssertionError("an unusable output directory reached a truth solve")
+    monkeypatch.setattr(experiments, "solve_truth", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "o" if below else taken
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[sweep]\nnoise_levels = 1e-2\n")
+    assert main([command, cfg_path, "--set", f"output.directory={out}"]) == EXIT_CONFIG
+    assert "config error: output.directory: " in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a directory where forward writes its mesh file fails the last writes
+    (tmp_path / "o" / "mesh.txt").mkdir(parents=True)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path]) == EXIT_CONFIG
+    assert "config error: output.directory: " in capsys.readouterr().err
+
+
 def test_invert_honours_problem_data(tmp_path, capsys):
     # zero u0 and f make the data pure noise, which q_init already fits
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")

@@ -24,7 +24,7 @@ def test_config_validation():
                 dict(noise_levels=(-1e-3,)),
                 dict(noise_levels=(1e-2, 1e-3), gammas=(1e-8,)),
                 dict(noise_levels=(math.nan,)), dict(h=math.nan), dict(n_steps=0),
-                dict(c_gamma=math.nan), dict(bounds=(5, 0.5)), dict(alphas=(1.5,)),
+                dict(c_gamma=math.nan), dict(c0=5, c1=0.5), dict(alphas=(1.5,)),
                 dict(max_iters=-3), dict(T_values=(math.inf,)),
                 dict(problem="3d-cube"), dict(discrepancy_factor=0.0),
                 dict(gammas=(math.inf,)), dict(seed=-1), dict(n_steps=2.5),
@@ -97,6 +97,25 @@ def test_config_rejects_an_oversized_disk_unbuilt(monkeypatch, key, grids):
     assert built == []
 
 
+@pytest.mark.parametrize("grids, keys", [
+    (dict(n_steps_ref=10 ** 12), "h_ref, n_steps_ref"),
+    (dict(n_steps=10 ** 12, n_steps_ref=10 ** 12 + 1), "h, n_steps")])
+def test_config_rejects_a_march_over_the_budget(grids, keys):
+    # a step count of 10**12 once passed the config, and run_sweep then died
+    # allocating its first march
+    with pytest.raises(ValueError, match=f"^{keys}: .*state values"):
+        ExperimentConfig(**grids)
+
+
+def test_march_budget_is_1281_states_of_the_largest_mesh():
+    problems.check_march(problems.MAX_VERTICES, 1280)
+    with pytest.raises(ValueError, match="1281 steps on 100000 vertices"):
+        problems.check_march(problems.MAX_VERTICES, 1281)
+    problems.check_march(1601, 2560)  # the 1D truth grid at N = 2560
+    with pytest.raises(ValueError, match="state values"):
+        problems.check_march(21, 10 ** 12)
+
+
 def test_gamma_rule():
     cfg = ExperimentConfig(noise_levels=(1e-2, 1e-3), c_gamma=4e-4)
     assert cfg.gamma_for(0) == pytest.approx(4e-8)
@@ -167,6 +186,11 @@ def test_compute_errors_zero_cases():
     u = fem.l2_project(coarse, problem.u0)
     e_q, e_u = compute_errors(q_dag, q_dag, u, u)
     assert e_q == 0.0 and e_u == 0.0
+    q_fine = fem.interpolate(fine, VH, problem.q_true)
+    with pytest.raises(ValueError, match="common mesh"):
+        compute_errors(q_dag, q_fine, u, u)
+    with pytest.raises(ValueError, match="common mesh"):
+        compute_errors(q_dag, q_dag, u, fem.l2_project(fine, problem.u0))
 
 
 def test_compute_rate_exact_power_law():

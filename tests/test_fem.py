@@ -92,6 +92,19 @@ def test_stiffness_rejects_one_nonfinite_nodal_value(bad):
         fem.assemble_stiffness(m, XH, Field(m, VH, np.array([1.0, 1.0, bad, 1.0, 1.0])))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda m: Field(m, "W_h", np.zeros(m.n_vertices)), "unknown space"),
+    (lambda m: Field(m, VH, np.zeros(m.n_vertices + 1)), "value length"),
+    (lambda m: fem.assemble_stiffness(m, XH, ones_field(generate_interval_mesh(4))),
+     "V_h field on the same mesh"),
+    (lambda m: fem.assemble_stiffness(m, XH, Field(m, XH, np.ones(3))),
+     "V_h field on the same mesh")],
+    ids=["unknown-space", "wrong-length", "other-mesh", "x_h-coefficient"])
+def test_mismatched_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(generate_interval_mesh(4))
+
+
 def test_matrices_symmetric():
     m = generate_disk_mesh(0.3)
     q = Field(m, VH, 1.0 + 0.1 * m.vertices[:, 0] ** 2)
@@ -104,6 +117,8 @@ def test_interpolate_constant_and_clipped_truth():
     m = generate_interval_mesh(2)
     ones = fem.interpolate(m, VH, lambda x: np.ones_like(x))
     assert np.array_equal(ones.values, np.ones(3))
+    twos = fem.interpolate(m, VH, lambda x: 2.0)  # a scalar result is broadcast
+    assert np.array_equal(twos.values, np.full(3, 2.0))
     # clipped sine coefficient: the cap binds at the midpoint
     from fracinv.problems import get_problem
     q = get_problem("1d-sine").q_true
@@ -188,6 +203,8 @@ def test_norms_zero_field():
     assert fem.seminorm_h1(z) == 0.0
     assert fem.norm_linf(z) == 0.0
     assert fem.seminorm_w1inf(z) == 0.0
+    empty = Field(generate_interval_mesh(1), XH, np.zeros(0))  # no interior vertex
+    assert fem.norm_linf(empty) == 0.0
 
 
 def test_norms_linear_function():
@@ -300,6 +317,15 @@ def test_field_dump_round_trip(tmp_path):
         back = fem.load_field(path, m)
         assert back.space == space
         assert np.array_equal(back.values, v.values)
+
+
+@pytest.mark.parametrize("header", ["", "# space W_h\n", "# space\n"])
+def test_field_dump_without_a_valid_space_header_rejected(tmp_path, header):
+    m = generate_interval_mesh(2)
+    path = tmp_path / "bad.field"
+    path.write_text(f"# field u\n{header}0 1.0\n1 2.0\n2 3.0\n")
+    with pytest.raises(ValueError, match="lacks a valid '# space' header"):
+        fem.load_field(path, m)
 
 
 def test_evaluate_at_points_matches_vertices():

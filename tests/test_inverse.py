@@ -4,7 +4,7 @@ import pytest
 from fracinv import fem, inverse, linalg, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.fem import VH, XH, Field
-from fracinv.inverse import (InverseSpec, StoppingRule, cg_direction,
+from fracinv.inverse import (InverseSpec, cg_direction,
                              gradient, objective, project_admissible,
                              run_inversion, smooth_direction, step_size)
 from fracinv.mesh import generate_interval_mesh
@@ -280,7 +280,7 @@ class TestRunInversion:
         mass = fem.assemble_mass(mesh, XH)
         delta = float(np.sqrt(noise @ (mass @ noise)))
         spec = make_spec(mesh, gamma=1e-10, z=z, max_iters=200,
-                         stop=StoppingRule(noise_level=delta))
+                         noise_level=delta)
         result = run_inversion(spec)
         assert result.converged and result.reason == "discrepancy"
         final_res = np.sqrt(2.0 * result.history[-1].misfit) if result.history \
@@ -403,15 +403,15 @@ def test_discrepancy_met_on_the_last_allowed_step_converges():
     noise = 1e-4 * np.random.default_rng(0).standard_normal(len(mesh.interior))
     z = Field(mesh, XH, traj.terminal.values + noise)
     delta = float(np.sqrt(noise @ (fem.assemble_mass(mesh, XH) @ noise)))
-    stop = StoppingRule(noise_level=delta, discrepancy_factor=1.1)
-    free = run_inversion(make_spec(mesh, z=z, max_iters=600, stop=stop))
+    stop = dict(noise_level=delta, discrepancy_factor=1.1)
+    free = run_inversion(make_spec(mesh, z=z, max_iters=600, **stop))
     assert (free.reason, free.converged) == ("discrepancy", True)
     assert free.iterations >= 1
-    cut = run_inversion(make_spec(mesh, z=z, max_iters=free.iterations, stop=stop))
+    cut = run_inversion(make_spec(mesh, z=z, max_iters=free.iterations, **stop))
     assert (cut.reason, cut.converged, cut.iterations) == \
         ("discrepancy", True, free.iterations)
     assert np.array_equal(cut.q.values, free.q.values)
-    start = run_inversion(make_spec(mesh, z=z, max_iters=0, stop=stop,
+    start = run_inversion(make_spec(mesh, z=z, max_iters=0, **stop,
                                     q_init=free.q))
     assert (start.reason, start.converged, start.iterations) == ("discrepancy", True, 0)
 
@@ -438,6 +438,14 @@ def test_spec_validation():
         values[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             make_spec(mesh, z=Field(mesh, XH, values))
+    for alpha in (0.0, 1.5, np.nan, -0.5):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            make_spec(mesh, alpha=alpha, z=z)
+    other = generate_interval_mesh(8)
+    for obs in (Field(other, XH, np.zeros(fem.n_dofs(other, XH))),
+                Field(mesh, VH, np.zeros(mesh.n_vertices))):
+        with pytest.raises(ValueError, match="observation must be an X_h field"):
+            make_spec(mesh, z=obs)
     with pytest.raises(ValueError):
         make_spec(mesh, z=z, c0=2.0, c1=1.0)
     with pytest.raises(ValueError):
@@ -450,9 +458,9 @@ def test_spec_validation():
         make_spec(mesh, z=z, max_iters=-1)
     for bad in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="discrepancy factor"):
-            StoppingRule(discrepancy_factor=bad)
+            make_spec(mesh, z=z, discrepancy_factor=bad)
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="gradient tolerance"):
-            StoppingRule(gradient_tol=bad)
+            make_spec(mesh, z=z, gradient_tol=bad)
         with pytest.raises(ValueError, match="noise level"):
-            StoppingRule(noise_level=bad)
+            make_spec(mesh, z=z, noise_level=bad)

@@ -39,6 +39,15 @@ def test_indefinite_matrix_rejected():
     a = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(NotSpdError):
         linalg.factorize(a)
+    # symmetric with a positive diagonal, so only the factorization finds it singular
+    singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NotSpdError, match="factorization broke down"):
+        linalg.factorize(singular)
+
+
+def test_nonsquare_matrix_rejected():
+    with pytest.raises(ValueError, match="square"):
+        linalg.factorize(sp.csr_matrix(np.ones((2, 3))))
 
 
 def test_nonsymmetric_matrix_rejected():

@@ -78,6 +78,10 @@ class TestCqWeights:
         with pytest.raises(ValueError):
             cq_weights(1.5, 3)
 
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            cq_weights(0.5, -1)
+
 
 class TestForward:
     def test_zero_data_zero_solution(self):
@@ -284,6 +288,18 @@ class TestSensitivity:
         with pytest.raises(ValueError):
             solve_sensitivity(self.traj, d, TimeGrid(1.0, 13))
 
+    @pytest.mark.parametrize("mesh, space", [(generate_interval_mesh(40), VH), (None, XH)],
+                             ids=["other-mesh", "x_h"])
+    def test_direction_off_the_forward_mesh_rejected(self, mesh, space):
+        mesh = mesh or self.mesh
+        d = Field(mesh, space, np.zeros(fem.n_dofs(mesh, space)))
+        with pytest.raises(ValueError, match="direction must be a V_h field"):
+            solve_sensitivity(self.traj, d, self.grid)
+
+    def test_misshapen_state_array_rejected(self):
+        with pytest.raises(ValueError, match="state array has shape"):
+            timestep.Trajectory(self.mesh, self.grid, self.traj.values[1:], self.alpha)
+
 
 class TestAdjoint:
     def setup_method(self):
@@ -326,6 +342,14 @@ class TestAdjoint:
             lhs = float(r.values @ (mass @ sens.terminal.values))
             rhs = float(adj.misfit_gradient.values @ d.values)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("mesh, space", [(generate_interval_mesh(30), XH), (None, VH)],
+                             ids=["other-mesh", "v_h"])
+    def test_residual_off_the_forward_mesh_rejected(self, mesh, space):
+        mesh = mesh or self.mesh
+        r = Field(mesh, space, np.zeros(fem.n_dofs(mesh, space)))
+        with pytest.raises(ValueError, match="terminal residual must be an X_h field"):
+            solve_adjoint(self.traj, self.grid, r)
 
     def test_reused_factor_must_match_the_march(self):
         r = Field(self.mesh, XH, np.zeros(fem.n_dofs(self.mesh, XH)))
