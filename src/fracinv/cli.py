@@ -285,6 +285,8 @@ def _inversion(cfg):
         _check("mesh.h, time.n_steps, data.h_ref, data.n_steps_ref",
                experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
                data["h_ref"], data["n_steps_ref"])
+        grid_ref = _check("problem.T, data.n_steps_ref", TimeGrid, grid.T,
+                          data["n_steps_ref"])
         marches.append(("data.h_ref", "data.n_steps_ref"))
     _check_marches(cfg, problem, *marches)
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
@@ -308,7 +310,6 @@ def _inversion(cfg):
             raise ConfigError(f"data.file: {exc}") from None
     else:
         fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
-        grid_ref = TimeGrid(grid.T, data["n_steps_ref"])
         u_ref, linf = experiments.exact_data(problem, fine, mesh, alpha, grid_ref)
         z, delta = experiments.add_noise(u_ref, linf, data["epsilon"], data["seed"])
     return problem, _check("data.file", dataclasses.replace, spec, z_delta=z,

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -329,8 +329,8 @@ def stability_quotient(problem: Problem, mesh: Mesh, alpha: float, grids,
                        perturbations):
     """Stability quotients |q - q_true| / |grad(u(q) - u(q_true))(T)|^(1/2).
 
-    Marches the true problem and each of :func:`bump_perturbations` on each
-    grid and returns {T: (quotients, max)}; a zero true terminal state
+    Marches the true problem and each coefficient of :func:`bump_perturbations`
+    on each grid and returns {T: (quotients, max)}; a zero true terminal state
     raises ValueError."""
     out = {}
     for grid in grids:
@@ -339,8 +339,8 @@ def stability_quotient(problem: Problem, mesh: Mesh, alpha: float, grids,
             raise ValueError(f"the true terminal state at T={grid.T:g} is zero: "
                              "the problem's u0 and f leave nothing to perturb")
         quotients = []
-        for p, dq in perturbations:
-            u = solve_truth(p, mesh, alpha, grid).terminal
+        for q, dq in perturbations:
+            u = timestep.solve_forward(mesh, q, problem.u0, problem.f, alpha, grid).terminal
             du = fem.seminorm_h1(Field(mesh, XH, u.values - u_true.values))
             quotients.append(dq / math.sqrt(du) if du > 0.0 else math.inf)
         out[grid.T] = (quotients, max(quotients))
@@ -351,33 +351,31 @@ def bump_perturbations(problem: Problem, mesh: Mesh, n_perturbations: int,
                        seed: int):
     """Seeded smooth bumps of amplitude BUMP_AMPLITUDE on the true coefficient,
     which must exceed it on the mesh so that each stays positive: a list of
-    (perturbed problem, L2 norm of its coefficient change on the mesh)."""
+    (perturbed V_h coefficient, L2 norm of its change on the mesh)."""
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be >= 1, got {n_perturbations}")
-    q_true = fem.interpolate(mesh, VH, problem.q_true)
-    if not q_true.values.min() > BUMP_AMPLITUDE:
+    q_true = fem.interpolate(mesh, VH, problem.q_true).values
+    if not q_true.min() > BUMP_AMPLITUDE:
         raise ValueError(f"the coefficient must exceed the perturbation amplitude "
-                         f"{BUMP_AMPLITUDE:g} on the mesh, got min "
-                         f"{q_true.values.min():g}")
+                         f"{BUMP_AMPLITUDE:g} on the mesh, got min {q_true.min():g}")
     rng = np.random.default_rng(seed)
     perturbed = []
     for _ in range(n_perturbations):
-        p = replace(problem, q_true=_bumped(problem.q_true, mesh.dim, rng))
-        dq = fem.interpolate(mesh, VH, p.q_true).values - q_true.values
-        perturbed.append((p, fem.norm_l2(Field(mesh, VH, dq))))
+        q = q_true + _bump(mesh.vertices, rng)
+        perturbed.append((Field(mesh, VH, q), fem.norm_l2(Field(mesh, VH, q - q_true))))
     return perturbed
 
 
-def _bumped(q, dim: int, rng):
-    """The coefficient q plus a wide Gaussian bump with random center, width
-    and sign, as a function of the coordinates.
+def _bump(points, rng):
+    """Values at the points of a wide Gaussian bump with random center, width
+    and sign.
 
     Widths are kept large so the perturbation is dominated by low spatial
     modes: high-frequency coefficient content equilibrates the state at
     any positive time and would mask the small-T stability degradation
     the probe is after.
     """
-    if dim == 1:
+    if points.shape[1] == 1:
         center = (rng.uniform(0.3, 0.7),)
         width = rng.uniform(0.25, 0.45)
     else:
@@ -386,9 +384,5 @@ def _bumped(q, dim: int, rng):
         center = (radius * math.cos(angle), radius * math.sin(angle))
         width = rng.uniform(0.4, 0.7)
     sign = 1.0 if rng.random() < 0.5 else -1.0
-
-    def bumped(*coords):
-        r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
-        return (fem._eval_at(q, np.column_stack(coords))
-                + sign * BUMP_AMPLITUDE * np.exp(-0.5 * r2 / width ** 2))
-    return bumped
+    r2 = sum((x - c) ** 2 for x, c in zip(points.T, center))
+    return sign * BUMP_AMPLITUDE * np.exp(-0.5 * r2 / width ** 2)

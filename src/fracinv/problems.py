@@ -74,14 +74,20 @@ MAX_VERTICES = 100_000
 def vertex_count(problem: Problem, h: float) -> int:
     """Vertices of the problem's mesh of size h, predicted without building it
     (n + 1 for n cells, 1 + 3m(m + 1) for m disk rings); ValueError for a size
-    that is not positive and finite or whose mesh exceeds MAX_VERTICES."""
+    that is not positive and finite, that leaves no interior vertex (an empty
+    X_h: one cell of the interval), that is 1 or more on the disk, or whose
+    mesh exceeds MAX_VERTICES."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"mesh size must be positive and finite, got {h}")
     # the clamp keeps a size too small to count over the budget
     if problem.dim == 1:
-        n_vertices = max(1, round(min(1.0 / h, MAX_VERTICES))) + 1
+        n_vertices = round(min(1.0 / h, MAX_VERTICES)) + 1
+        if n_vertices < 3:
+            raise ValueError(f"mesh size h={h} leaves the mesh without an interior vertex")
     else:
-        rings = max(1, math.ceil(min(1.5 / h, MAX_VERTICES)))
+        if h >= 1.0:
+            raise ValueError(f"mesh size on the disk must be below 1, got {h}")
+        rings = math.ceil(min(1.5 / h, MAX_VERTICES))
         n_vertices = 1 + 3 * rings * (rings + 1)
     if n_vertices > MAX_VERTICES:
         raise ValueError(f"mesh size h={h} would build more than the "
@@ -101,10 +107,7 @@ def check_march(n_vertices: int, n_steps: int):
 
 def problem_mesh(problem: Problem, h: float) -> Mesh:
     """Mesh of the problem's domain with target size h, in 1D the nearest
-    uniform partition of (0, 1).  A size :func:`vertex_count` rejects, or
-    one that leaves no interior vertex (an empty X_h), raises ValueError."""
+    uniform partition of (0, 1); a size :func:`vertex_count` rejects raises
+    ValueError."""
     n = vertex_count(problem, h)
-    mesh = generate_interval_mesh(n - 1) if problem.dim == 1 else generate_disk_mesh(h)
-    if mesh.boundary.all():
-        raise ValueError(f"mesh size h={h} leaves the mesh without an interior vertex")
-    return mesh
+    return generate_interval_mesh(n - 1) if problem.dim == 1 else generate_disk_mesh(h)

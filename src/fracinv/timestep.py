@@ -28,6 +28,7 @@ to solver tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ class TimeGrid:
             raise ValueError(f"final time must be positive and finite, got {self.T}")
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError(f"step count must be a positive integer, got {self.N!r}")
+        # so that tau**-alpha is finite for every alpha in (0, 1]
+        if self.T / self.N < sys.float_info.min:
+            raise ValueError(f"time step T/N={self.T / self.N:g} is below the smallest "
+                             f"normal float {sys.float_info.min:g}")
 
     @property
     def tau(self) -> float:

@@ -444,6 +444,45 @@ def test_bench_names_the_mesh_over_the_budget_unbuilt(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, h", [("1d-sine", "0.9"), ("2d-disk", "1.2")])
+def test_bench_names_a_mesh_size_problem_mesh_cannot_build(tmp_path, capsys, monkeypatch,
+                                                           name, h):
+    # one interval cell or a disk size over 1 once passed to run_sweep, whose
+    # error named no key
+    def unbuilt(*args):
+        raise AssertionError("bench built a mesh")
+    for module in (problems, mesh):
+        monkeypatch.setattr(module, "generate_interval_mesh", unbuilt)
+        monkeypatch.setattr(module, "generate_disk_mesh", unbuilt)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["bench", cfg_path, "--set", f"problem.name={name}",
+                 "--set", f"mesh.h={h}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: mesh.h: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_forward_with_a_step_whose_power_overflows_exits_2(tmp_path, capsys):
+    # tau**-1 of this step once overflowed in solve_forward
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["forward", cfg_path, "--set", "problem.alpha=1",
+                 "--set", "problem.T=1e-310"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: problem.T, time.n_steps: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_invert_names_a_truth_step_whose_power_overflows_unbuilt(tmp_path, capsys,
+                                                                 monkeypatch):
+    # T/8 is a normal float, T/40 is not
+    def unbuilt(*args):
+        raise AssertionError("a rejected truth grid built a mesh")
+    for module in (problems, mesh):
+        monkeypatch.setattr(module, "generate_interval_mesh", unbuilt)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["invert", cfg_path, "--set", "problem.T=5e-307"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: problem.T, data.n_steps_ref: ")
+    assert not (tmp_path / "o").exists()
+
+
 BIG = "1000000000000"
 
 

@@ -107,6 +107,19 @@ def test_config_rejects_a_march_over_the_budget(grids, keys):
         ExperimentConfig(**grids)
 
 
+@pytest.mark.parametrize("problem, h", [("2d-disk", 1.2), ("1d-sine", 0.9)])
+def test_config_rejects_a_mesh_size_problem_mesh_cannot_build(problem, h):
+    # both configs once passed, and run_sweep then failed building the mesh
+    with pytest.raises(ValueError, match="^h: "):
+        ExperimentConfig(problem=problem, h=h, n_steps=5, h_ref=0.5, n_steps_ref=10)
+
+
+def test_config_rejects_a_time_step_whose_power_overflows():
+    # tau**-alpha once overflowed in run_sweep's first march
+    with pytest.raises(ValueError, match="time step"):
+        ExperimentConfig(T_values=(1e-310,), alphas=(1.0,), **FAST)
+
+
 def test_march_budget_is_1281_states_of_the_largest_mesh():
     problems.check_march(problems.MAX_VERTICES, 1280)
     with pytest.raises(ValueError, match="1281 steps on 100000 vertices"):
@@ -416,13 +429,22 @@ def test_bump_perturbations_on_the_disk():
     mesh = problem_mesh(problem, 0.3)
     perturbed = bump_perturbations(problem, mesh, 4, seed=0)
     q_true = fem.interpolate(mesh, VH, problem.q_true).values
-    for p, dq_norm in perturbed:
-        dq = fem.interpolate(mesh, VH, p.q_true).values - q_true
+    for q, dq_norm in perturbed:
+        dq = q.values - q_true
         assert (dq > 0).all() or (dq < 0).all()
         assert np.abs(dq).max() <= experiments.BUMP_AMPLITUDE
         assert dq_norm == fem.norm_l2(Field(mesh, VH, dq)) > 0.0
     again = bump_perturbations(problem, mesh, 4, seed=0)
     assert [n for _, n in again] == [n for _, n in perturbed]
+
+
+def test_stability_quotient_of_a_perturbation_the_state_cannot_see():
+    # the true coefficient itself leaves the terminal state unchanged
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 0.1)
+    q_true = fem.interpolate(mesh, VH, problem.q_true)
+    table = stability_quotient(problem, mesh, 0.5, [TimeGrid(1.0, 4)], [(q_true, 0.0)])
+    assert table[1.0] == ([math.inf], math.inf)
 
 
 def test_stability_quotient_comparable_large_T():
@@ -464,3 +486,22 @@ def test_oversized_mesh_is_rejected_unbuilt(monkeypatch, name, h):
     monkeypatch.setattr(problems, "generate_disk_mesh", _unbuilt)
     with pytest.raises(ValueError, match="vertices"):
         problem_mesh(get_problem(name), h)
+
+
+@pytest.mark.parametrize("name, h, message", [
+    ("1d-sine", 0.9, "interior vertex"), ("1d-sine", 5.0, "interior vertex"),
+    ("2d-disk", 1.0, "below 1"), ("2d-disk", 1.2, "below 1")])
+def test_mesh_size_problem_mesh_cannot_build_is_rejected_unbuilt(monkeypatch, name, h,
+                                                                 message):
+    # one interval cell leaves X_h empty; the disk generator takes sizes below 1
+    monkeypatch.setattr(problems, "generate_interval_mesh", _unbuilt)
+    monkeypatch.setattr(problems, "generate_disk_mesh", _unbuilt)
+    with pytest.raises(ValueError, match=message):
+        problems.vertex_count(get_problem(name), h)
+    with pytest.raises(ValueError, match=message):
+        problem_mesh(get_problem(name), h)
+
+
+def test_two_cells_are_the_coarsest_interval():
+    assert problems.vertex_count(get_problem("1d-sine"), 2.0 / 3.0) == 3
+    assert problem_mesh(get_problem("1d-sine"), 2.0 / 3.0).n_vertices == 3

@@ -662,3 +662,11 @@ def test_time_grid_validation():
     g = TimeGrid(2.0, 8)
     assert g.tau == pytest.approx(0.25)
     assert len(g.times) == 9
+
+
+def test_time_grid_rejects_a_step_whose_power_overflows():
+    # a subnormal step: tau**-1 once overflowed in the march
+    for T, N in ((1e-310, 1), (1e-300, 10 ** 9)):
+        with pytest.raises(ValueError, match="time step"):
+            TimeGrid(T, N)
+    assert np.isfinite(TimeGrid(sys.float_info.min, 1).tau ** -1.0)
