@@ -25,8 +25,7 @@ from . import experiments, fem, inverse, timestep
 from .errors import FracinvError
 from .fem import VH, XH, Field
 from .mesh import save_mesh
-from .problems import Problem, check_march, get_problem, problem_mesh, vertex_count
-from .timestep import TimeGrid
+from .problems import Problem, get_problem, march_grid, problem_mesh
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,19 +214,13 @@ def _alpha(cfg) -> float:
     return alpha
 
 
-def _grid(cfg) -> TimeGrid:
-    return _check("problem.T, time.n_steps", TimeGrid,
-                  _require(cfg, "problem", "T"), cfg["time"]["n_steps"])
-
-
-def _check_marches(cfg, problem: Problem, *pairs):
-    """Each (mesh size key, step count key) pair names a march that fits the
-    mesh and march budgets; builds no mesh."""
-    for h_key, n_key in pairs:
-        h, n_steps = (cfg[sec][key] for sec, key in
-                      (name.split(".") for name in (h_key, n_key)))
-        n_vertices = _check(h_key, vertex_count, problem, h)
-        _check(f"{h_key}, {n_key}", check_march, n_vertices, n_steps)
+def _grid(cfg, problem: Problem, h_key, n_key, T_key, T=None):
+    """The time grid of the march on the mesh size and step count the keys
+    name, to T (by default T_key's value), from :func:`problems.march_grid`:
+    it builds no mesh, and its ValueError names the keys."""
+    h, n_steps = (cfg[sec][key] for sec, key in (k.split(".") for k in (h_key, n_key)))
+    T = _require(cfg, *T_key.split(".")) if T is None else T
+    return march_grid(problem, h, n_steps, T, (h_key, n_key, T_key))
 
 
 def _out_dir(cfg) -> Path:
@@ -258,8 +251,9 @@ def _echo_config(cfg, out_dir: Path):
 
 
 def cmd_forward(cfg) -> int:
-    problem, alpha, grid, out = _problem(cfg), _alpha(cfg), _grid(cfg), _out_dir(cfg)
-    _check_marches(cfg, problem, ("mesh.h", "time.n_steps"))
+    problem, alpha = _problem(cfg), _alpha(cfg)
+    grid = _grid(cfg, problem, "mesh.h", "time.n_steps", "problem.T")
+    out = _out_dir(cfg)
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     traj = experiments.solve_truth(problem, mesh, alpha, grid)
     _echo_config(cfg, out)
@@ -278,17 +272,14 @@ def _inversion(cfg):
 
     Every input is accepted before the observation is read or synthesized.
     """
-    problem, alpha, grid = _problem(cfg), _alpha(cfg), _grid(cfg)
+    problem, alpha = _problem(cfg), _alpha(cfg)
     data, inv = cfg["data"], cfg["inversion"]
-    marches = [("mesh.h", "time.n_steps")]
+    grid = _grid(cfg, problem, "mesh.h", "time.n_steps", "problem.T")
     if not data["file"]:
         _check("mesh.h, time.n_steps, data.h_ref, data.n_steps_ref",
                experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
                data["h_ref"], data["n_steps_ref"])
-        grid_ref = _check("problem.T, data.n_steps_ref", TimeGrid, grid.T,
-                          data["n_steps_ref"])
-        marches.append(("data.h_ref", "data.n_steps_ref"))
-    _check_marches(cfg, problem, *marches)
+        grid_ref = _grid(cfg, problem, "data.h_ref", "data.n_steps_ref", "problem.T")
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     if not 0.0 <= data["epsilon"] < math.inf:
         raise ConfigError(
@@ -383,13 +374,16 @@ def cmd_bench(cfg) -> int:
     if any(cfg["problem"][key] != SCHEMA["problem"][key][1] for key in _PROBLEM_DATA):
         raise ConfigError("bench sweeps the named problem as it is defined: "
                           "problem.q, problem.u0 and problem.f must keep their defaults")
-    _check_marches(cfg, get_problem(cfg["problem"]["name"]), ("mesh.h", "time.n_steps"),
-                   ("data.h_ref", "data.n_steps_ref"))
+    problem = get_problem(cfg["problem"]["name"])
+    T_key = "sweep.T_values" if sweep["T_values"] else "problem.T"
+    T_values = sweep["T_values"] or (_require(cfg, "problem", "T"),)
+    for T in T_values:
+        for h_key, n_key in (("mesh.h", "time.n_steps"), ("data.h_ref", "data.n_steps_ref")):
+            _grid(cfg, problem, h_key, n_key, T_key, T)
     out = _out_dir(cfg)
     config = _check(
         "bench", experiments.ExperimentConfig,
-        problem=cfg["problem"]["name"], alphas=sweep["alphas"],
-        T_values=sweep["T_values"] or (_require(cfg, "problem", "T"),),
+        problem=problem.name, alphas=sweep["alphas"], T_values=T_values,
         noise_levels=sweep["noise_levels"], gammas=sweep["gammas"] or None,
         c_gamma=sweep["c_gamma"], h=cfg["mesh"]["h"], n_steps=cfg["time"]["n_steps"],
         h_ref=cfg["data"]["h_ref"], n_steps_ref=cfg["data"]["n_steps_ref"],
@@ -415,21 +409,17 @@ def cmd_verify(cfg) -> int:
         raise ConfigError(f"verify.checks must name some of {' '.join(known)}, "
                           f"got {ver['checks']!r}")
     problem, alpha, out = _problem(cfg), _alpha(cfg), _out_dir(cfg)
-    marches = [("mesh.h", "verify.decay_n_steps")] if "decay" in checks else []
-    if {"positivity", "stability"} & set(checks):
-        marches.append(("mesh.h", "time.n_steps"))
-    _check_marches(cfg, problem, *marches)
-    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
-    # every selected check's input is checked before the first check marches
+    # every selected check's input is checked before the first check marches,
+    # and its grids before the mesh is built
     if "decay" in checks:
-        decay_grid = _check("verify.decay_T, decay_n_steps", TimeGrid,
-                            ver["decay_T"], ver["decay_n_steps"])
+        decay_grid = _grid(cfg, problem, "mesh.h", "verify.decay_n_steps", "verify.decay_T")
     if "positivity" in checks:
-        grid = _grid(cfg)
+        grid = _grid(cfg, problem, "mesh.h", "time.n_steps", "problem.T")
     if "stability" in checks:
-        grids = [_check(f"verify.{key}, time.n_steps", TimeGrid, ver[key],
-                        cfg["time"]["n_steps"])
+        grids = [_grid(cfg, problem, "mesh.h", "time.n_steps", f"verify.{key}")
                  for key in ("stability_T_small", "stability_T_large")]
+    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    if "stability" in checks:
         perturbations = _check("problem.q, verify.n_perturbations, seed",
                                experiments.bump_perturbations, problem, mesh,
                                ver["n_perturbations"], ver["seed"])

@@ -27,7 +27,7 @@ from .errors import FracinvError
 from .fem import VH, XH, Field
 from .inverse import InverseSpec, check_settings, run_inversion
 from .mesh import Mesh, save_mesh
-from .problems import Problem, check_march, get_problem, problem_mesh, vertex_count
+from .problems import Problem, get_problem, march_grid, problem_mesh
 from .timestep import TimeGrid, Trajectory
 
 # Peak size of the stability probe's coefficient perturbations.
@@ -70,19 +70,11 @@ class ExperimentConfig:
             values = getattr(self, key)
             if not 0 < len(set(values)) == len(values):
                 raise ValueError(f"{key} must be nonempty and distinct, got {values}")
+        # both marches of every row, before any mesh is built
         for T in self.T_values:
-            for n_steps in (self.n_steps, self.n_steps_ref):
-                TimeGrid(T, n_steps)
-        # the mesh and march budgets, before any mesh is built
-        for h_key, n_key in (("h", "n_steps"), ("h_ref", "n_steps_ref")):
-            try:
-                n_vertices = vertex_count(problem, getattr(self, h_key))
-            except ValueError as exc:
-                raise ValueError(f"{h_key}: {exc}") from None
-            try:
-                check_march(n_vertices, getattr(self, n_key))
-            except ValueError as exc:
-                raise ValueError(f"{h_key}, {n_key}: {exc}") from None
+            for h_key, n_key in (("h", "n_steps"), ("h_ref", "n_steps_ref")):
+                march_grid(problem, getattr(self, h_key), getattr(self, n_key), T,
+                           (h_key, n_key, "T_values"))
         if self.gammas is not None and len(self.gammas) != len(self.noise_levels):
             raise ValueError("explicit gammas must match the noise levels one-to-one")
         # eps scales each run's noise level delta, so it obeys delta's rule

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, generate_disk_mesh, generate_interval_mesh
+from .timestep import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,25 @@ def check_march(n_vertices: int, n_steps: int):
     if (n_steps + 1) * n_vertices > budget:
         raise ValueError(f"{n_steps} steps on {n_vertices} vertices would store "
                          f"more than the {budget} state values a march may hold")
+
+
+def march_grid(problem: Problem, h: float, n_steps: int, T: float, keys) -> TimeGrid:
+    """The time grid of a march of n_steps to T on the problem's mesh of size
+    h, which is not built: the mesh size passes :func:`vertex_count`, the
+    march :func:`check_march` and the grid :class:`TimeGrid`, in that order.
+    keys labels (h, n_steps, T) for the caller, and a ValueError begins with
+    the labels of the values it rejects."""
+    h_key, n_key, T_key = keys
+    n_vertices = _named(h_key, vertex_count, problem, h)
+    _named(f"{h_key}, {n_key}", check_march, n_vertices, n_steps)
+    return _named(f"{T_key}, {n_key}", TimeGrid, T, n_steps)
+
+
+def _named(labels, rule, *args):
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ValueError(f"{labels}: {exc}") from None
 
 
 def problem_mesh(problem: Problem, h: float) -> Mesh:

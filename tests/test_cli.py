@@ -483,6 +483,44 @@ def test_invert_names_a_truth_step_whose_power_overflows_unbuilt(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def _no_interval_mesh(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a rejected time grid built a mesh")
+    for module in (problems, mesh):
+        monkeypatch.setattr(module, "generate_interval_mesh", unbuilt)
+
+
+@pytest.mark.parametrize("setting, keys", [
+    ("problem.T=1e-310", "problem.T, time.n_steps"),
+    ("sweep.T_values=1 1e-310", "sweep.T_values, time.n_steps"),
+    ("sweep.T_values=1 5e-307", "sweep.T_values, data.n_steps_ref")],
+    ids=["problem.T", "sweep.T_values", "truth-grid"])
+def test_bench_names_the_keys_of_a_time_step_whose_power_overflows_unbuilt(
+        tmp_path, capsys, monkeypatch, setting, keys):
+    # the message once named no key: "bench: time step T/N=... is below ..."
+    _no_interval_mesh(monkeypatch)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    assert main(["bench", cfg_path, "--set", setting]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {keys}: time step")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("checks", ["", "decay stability"], ids=["default", "selected"])
+@pytest.mark.parametrize("setting, keys", [
+    ("verify.decay_T=1e-310", "verify.decay_T, verify.decay_n_steps"),
+    ("verify.stability_T_small=1e-310", "verify.stability_T_small, time.n_steps")],
+    ids=["decay_T", "stability_T_small"])
+def test_verify_rejects_a_tiny_final_time_unbuilt(tmp_path, capsys, monkeypatch,
+                                                  checks, setting, keys):
+    # verify once built its mesh before it checked these grids
+    _no_interval_mesh(monkeypatch)
+    cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/o\n")
+    flags = ["--set", f"verify.checks={checks}"] if checks else []
+    assert main(["verify", cfg_path, "--set", setting, *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {keys}: time step")
+    assert not (tmp_path / "o").exists()
+
+
 BIG = "1000000000000"
 
 

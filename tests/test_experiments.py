@@ -120,6 +120,34 @@ def test_config_rejects_a_time_step_whose_power_overflows():
         ExperimentConfig(T_values=(1e-310,), alphas=(1.0,), **FAST)
 
 
+@pytest.mark.parametrize("T_values, keys", [
+    ((1e-310,), "T_values, n_steps"), ((1.0, 5e-307), "T_values, n_steps_ref")])
+def test_config_names_the_keys_of_a_time_step_whose_power_overflows(T_values, keys):
+    # T/8 of 5e-307 is a normal float, T/40 is not; the message once named no key
+    with pytest.raises(ValueError, match=f"^{keys}: time step"):
+        ExperimentConfig(T_values=T_values, alphas=(1.0,), **FAST)
+
+
+MARCH_KEYS = ("mesh.h", "time.n_steps", "problem.T")
+
+
+@pytest.mark.parametrize("h, n_steps, T, message", [
+    (1e-300, 10 ** 12, 1e-310, "^mesh.h: .*vertices"),
+    (0.5, 10 ** 12, 1e-310, "^mesh.h, time.n_steps: .*state values"),
+    (0.5, 8, 1e-310, "^problem.T, time.n_steps: time step"),
+    (0.5, 0, 1.0, "^problem.T, time.n_steps: step count")],
+    ids=["mesh-size", "march", "time-step", "step-count"])
+def test_march_grid_applies_each_rule_in_order_unbuilt(monkeypatch, h, n_steps, T,
+                                                       message):
+    # each case also breaks every later rule, so the first rule names the keys
+    monkeypatch.setattr(problems, "generate_interval_mesh", _unbuilt)
+    monkeypatch.setattr(problems, "generate_disk_mesh", _unbuilt)
+    with pytest.raises(ValueError, match=message):
+        problems.march_grid(get_problem("1d-sine"), h, n_steps, T, MARCH_KEYS)
+    assert (problems.march_grid(get_problem("2d-disk"), 0.1, 20, 2.0, MARCH_KEYS)
+            == TimeGrid(2.0, 20))
+
+
 def test_march_budget_is_1281_states_of_the_largest_mesh():
     problems.check_march(problems.MAX_VERTICES, 1280)
     with pytest.raises(ValueError, match="1281 steps on 100000 vertices"):
