@@ -251,9 +251,8 @@ def _echo_config(cfg, out_dir: Path):
 
 
 def cmd_forward(cfg) -> int:
-    problem, alpha = _problem(cfg), _alpha(cfg)
+    problem, alpha, out = _problem(cfg), _alpha(cfg), _out_dir(cfg)
     grid = _grid(cfg, problem, "mesh.h", "time.n_steps", "problem.T")
-    out = _out_dir(cfg)
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
     traj = experiments.solve_truth(problem, mesh, alpha, grid)
     _echo_config(cfg, out)
@@ -281,19 +280,17 @@ def _inversion(cfg):
                data["h_ref"], data["n_steps_ref"])
         grid_ref = _grid(cfg, problem, "data.h_ref", "data.n_steps_ref", "problem.T")
     mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
-    if not 0.0 <= data["epsilon"] < math.inf:
-        raise ConfigError(
-            f"data.epsilon must be nonnegative and finite, got {data['epsilon']}")
     _check("data.seed", np.random.SeedSequence, data["seed"])
+    # epsilon scales the noise level delta, so it obeys delta's rule
     spec = _check(
-        "inversion.gamma, c0, c1, q_init, max_iters, discrepancy_factor, gradient_tol",
-        inverse.InverseSpec,
+        "inversion.gamma, c0, c1, q_init, max_iters, discrepancy_factor, gradient_tol, "
+        "data.epsilon", inverse.InverseSpec,
         mesh=mesh, alpha=alpha, grid=grid, u0=problem.u0, f=problem.f,
         z_delta=Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH))),
         gamma=inv["gamma"], c0=inv["c0"], c1=inv["c1"],
         q_init=Field(mesh, VH, np.full(mesh.n_vertices, inv["q_init"])),
-        max_iters=inv["max_iters"], discrepancy_factor=inv["discrepancy_factor"],
-        gradient_tol=inv["gradient_tol"])
+        max_iters=inv["max_iters"], noise_level=data["epsilon"],
+        discrepancy_factor=inv["discrepancy_factor"], gradient_tol=inv["gradient_tol"])
     if data["file"]:
         try:
             z, delta = fem.load_field(data["file"], mesh), None
