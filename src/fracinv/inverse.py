@@ -174,7 +174,7 @@ def step_size(spec: InverseSpec, q: Field, d: Field,
               forward: timestep.Trajectory) -> float:
     """Exact minimizer of the objective under the linearized forward map;
     with a known noise level, a positive step is capped so the linearized
-    residual lands on, rather than crosses, the discrepancy sphere."""
+    residual lands a relative 1e-8 inside, not across, the discrepancy sphere."""
     sens = timestep.solve_sensitivity(forward, d, spec.grid)
     geo = fem.geometry(spec.mesh)
     mass_x = geo.mass[XH]
@@ -190,10 +190,10 @@ def step_size(spec: InverseSpec, q: Field, d: Field,
             "search direction lies in the null space of the linearized model")
     s = numer / denom
     if spec.noise_level is not None and s > 0.0 and ww > 0.0:
-        # do not step through the discrepancy sphere: if the linearized
-        # residual at s would undershoot the stopping target, land on it
+        # aim the linearized residual just inside the discrepancy sphere, not
+        # through it, nor onto it, where rounding would decide the stop test
         rr = float(r @ (mass_x @ r))
-        target = (spec.discrepancy_factor * spec.noise_level) ** 2
+        target = ((1.0 - 1e-8) * spec.discrepancy_factor * spec.noise_level) ** 2
         if rr > target and rr + 2.0 * s * rw + s * s * ww < target:
             disc = rw * rw - ww * (rr - target)
             if disc >= 0.0:

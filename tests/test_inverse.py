@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,50 @@ def test_discrepancy_met_on_the_last_allowed_step_converges():
     start = run_inversion(make_spec(mesh, z=z, max_iters=0, **stop,
                                     q_init=free.q))
     assert (start.reason, start.converged, start.iterations) == ("discrepancy", True, 0)
+
+
+def _noisy_sine_data(level):
+    """Observation of q = 1 + 0.3 sin(pi x) on 30 cells with seeded noise of
+    the given size, and its noise level."""
+    mesh = generate_interval_mesh(30)
+    q_true = Field(mesh, VH, 1.0 + 0.3 * np.sin(np.pi * mesh.vertices[:, 0]))
+    traj = timestep.solve_forward(mesh, q_true, u0, 1.0, 0.5, TimeGrid(1.0, 10))
+    noise = level * np.random.default_rng(0).standard_normal(len(mesh.interior))
+    delta = float(np.sqrt(noise @ (fem.assemble_mass(mesh, XH) @ noise)))
+    return mesh, Field(mesh, XH, traj.terminal.values + noise), delta
+
+
+def test_a_capped_step_lands_inside_the_sphere_and_stops_the_run(monkeypatch):
+    # a step capped onto the sphere itself once ended at ratio 1 + 3e-10, so
+    # two more capped steps crept to 1 - 6e-14 before the stop test fired
+    mesh, z, delta = _noisy_sine_data(1e-4)
+    capped = []
+
+    def recording(spec, q, d, forward):
+        s = step_size(spec, q, d, forward)
+        free = step_size(dataclasses.replace(spec, noise_level=None), q, d, forward)
+        capped.append(s < free)
+        return s
+    monkeypatch.setattr(inverse, "step_size", recording)
+    result = run_inversion(make_spec(mesh, z=z, max_iters=600, noise_level=delta,
+                                     discrepancy_factor=1.1))
+    assert (result.reason, result.converged) == ("discrepancy", True)
+    assert capped[-1] and not any(capped[:-1])
+    ratio = np.sqrt(2.0 * result.history[-1].misfit) / (1.1 * delta)
+    assert 1.0 - 1e-7 < ratio < 1.0
+
+
+@pytest.mark.parametrize("level", [1e-4, 1e-2])
+def test_rounding_of_the_data_leaves_the_iteration_count(level):
+    # a 1e-13 relative change of the data once moved these counts, from 173
+    # to 174 and from 5 to 4, by moving capped steps across the sphere
+    mesh, z, delta = _noisy_sine_data(level)
+    wobble = np.cos(np.arange(len(z.values)))
+    counts = {run_inversion(make_spec(
+        mesh, z=Field(mesh, XH, z.values * (1.0 + eps * wobble)), max_iters=600,
+        noise_level=delta, discrepancy_factor=1.1)).iterations
+        for eps in (0.0, 1e-13, -1e-13)}
+    assert len(counts) == 1
 
 
 def test_non_integer_max_iters_rejected():
