@@ -253,7 +253,7 @@ def _echo_config(cfg, out_dir: Path):
 def cmd_forward(cfg) -> int:
     problem, alpha, out = _problem(cfg), _alpha(cfg), _out_dir(cfg)
     grid = _grid(cfg, problem, "mesh.h", "time.n_steps", "problem.T")
-    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    mesh = problem_mesh(problem, cfg["mesh"]["h"])
     traj = experiments.solve_truth(problem, mesh, alpha, grid)
     _echo_config(cfg, out)
     save_mesh(mesh, out / "mesh.txt")
@@ -279,7 +279,7 @@ def _inversion(cfg):
                experiments.check_truth_grid, cfg["mesh"]["h"], grid.N,
                data["h_ref"], data["n_steps_ref"])
         grid_ref = _grid(cfg, problem, "data.h_ref", "data.n_steps_ref", "problem.T")
-    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    mesh = problem_mesh(problem, cfg["mesh"]["h"])
     _check("data.seed", np.random.SeedSequence, data["seed"])
     # epsilon scales the noise level delta, so it obeys delta's rule
     spec = _check(
@@ -297,7 +297,7 @@ def _inversion(cfg):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data.file: {exc}") from None
     else:
-        fine = _check("data.h_ref", problem_mesh, problem, data["h_ref"])
+        fine = problem_mesh(problem, data["h_ref"])
         u_ref, linf = experiments.exact_data(problem, fine, mesh, alpha, grid_ref)
         z, delta = experiments.add_noise(u_ref, linf, data["epsilon"], data["seed"])
     return problem, _check("data.file", dataclasses.replace, spec, z_delta=z,
@@ -415,7 +415,7 @@ def cmd_verify(cfg) -> int:
     if "stability" in checks:
         grids = [_grid(cfg, problem, "mesh.h", "time.n_steps", f"verify.{key}")
                  for key in ("stability_T_small", "stability_T_large")]
-    mesh = _check("mesh.h", problem_mesh, problem, cfg["mesh"]["h"])
+    mesh = problem_mesh(problem, cfg["mesh"]["h"])
     if "stability" in checks:
         perturbations = _check("problem.q, verify.n_perturbations, seed",
                                experiments.bump_perturbations, problem, mesh,
