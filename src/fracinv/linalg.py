@@ -9,6 +9,15 @@ pattern wider than tridiagonal (every 2D system) is factored by LAPACK
 band Cholesky in its reverse Cuthill-McKee order, any other (every 1D
 system) by a plain SuperLU ``splu`` per factorization, which keeps no
 column order between factorizations.
+
+A band system is factored as L L^T by ``dpbtrf`` in lower band storage,
+and L is then rewritten in place as L^T in upper band storage, from which
+``dpbtrs`` solves.  The two storages cost the same flops, but in scipy's
+OpenBLAS 0.3.30 the lower-transposed ``dtbsv``, the back substitution of a
+lower ``dpbtrs``, runs 1.4-3 times slower than the other three band
+triangular solves, so an upper ``dpbtrs`` takes a half to two thirds of
+the time of a lower one on the disk's systems, while an upper ``dpbtrf``
+runs up to 8 times slower than a lower one.  ``tools/band_kernels.py`` times all of them.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ class FactorLayout:
     zero, if absent).  A pattern wider than tridiagonal gets its reverse
     Cuthill-McKee ``order`` (inverse ``position``), its bandwidth ``kd`` in
     that order, and the ``slot`` of each lower-triangle entry (``lower``)
-    in Fortran-order LAPACK lower band storage of the reordered matrix.
-    Any other has ``order`` None and keeps nothing for its factorization."""
+    in Fortran-order LAPACK lower band storage of the reordered matrix,
+    where ``dpbtrf`` factors it.  Any other has ``order`` None and keeps
+    nothing for its factorization."""
 
     def __init__(self, indptr, indices):
         n = len(indptr) - 1
@@ -52,8 +62,9 @@ class FactorLayout:
 
 class SpdSolver:
     """Reusable factor of a symmetric positive definite matrix: the band
-    Cholesky factor of it reordered by ``order``, whose solutions are put
-    back by ``position``, or SuperLU's sparse LU of it."""
+    Cholesky factor U = L^T of it reordered by ``order``, in Fortran-order
+    LAPACK upper band storage, whose solutions are put back by ``position``,
+    or SuperLU's sparse LU of it."""
 
     def __init__(self, factor, order=None, position=None):
         self._factor, self._order, self._position = factor, order, position
@@ -66,7 +77,7 @@ class SpdSolver:
         if self._order is None:
             return self._factor.solve(b)
         # dpbtrs's info flags only an illegal argument
-        x, _ = lapack.dpbtrs(self._factor, b[self._order], lower=1, overwrite_b=1)
+        x, _ = lapack.dpbtrs(self._factor, b[self._order], lower=0, overwrite_b=1)
         return x[self._position]
 
 
@@ -74,10 +85,12 @@ def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
     """Check finiteness, symmetry and diagonal positivity, then factor the
     matrix on the layout of its pattern (a layout of its own by default).
 
-    A pattern wider than tridiagonal gets ``dpbtrf``'s factor, computed in
-    place, and an indefinite matrix raises :class:`NotSpdError`.  Any other
-    pattern gets a plain ``splu`` on each call, which finds its own column
-    order; no order is kept between calls."""
+    A pattern wider than tridiagonal gets ``dpbtrf``'s lower factor L,
+    computed in place and then rewritten in place as L^T in upper band
+    storage, so that no second band array is held; an indefinite matrix
+    raises :class:`NotSpdError`.  Any other pattern gets a plain ``splu``
+    on each call, which finds its own column order; no order is kept
+    between calls."""
     matrix = matrix.tocsr()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -101,9 +114,25 @@ def factorize(matrix, layout: FactorLayout | None = None) -> SpdSolver:
         ab, info = lapack.dpbtrf(ab.reshape(layout.kd + 1, -1, order="F"), lower=1, overwrite_ab=1)
         if info:
             raise NotSpdError(f"matrix is not positive definite (dpbtrf info {info})")
-        return SpdSolver(ab, layout.order, layout.position)
+        return SpdSolver(_upper_from_lower(ab), layout.order, layout.position)
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:  # singular factor / zero pivot
         raise NotSpdError(f"factorization broke down: {exc}") from exc
     return SpdSolver(lu)
+
+
+def _upper_from_lower(ab):
+    """Rewrite a band factor L in lower band storage, in place, as L^T in upper
+    band storage: lower entry (d, r) moves to upper entry (kd - d, r + d), so
+    rows d and kd - d trade places, each shifted, and the corners that no
+    entry reaches are zeroed."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    for d in range(kd // 2 + 1):
+        e = kd - d
+        row = ab[d, :n - d].copy()
+        ab[d, e:] = ab[e, :n - e]
+        ab[d, :e] = 0.0
+        ab[e, d:] = row
+        ab[e, :d] = 0.0
+    return ab

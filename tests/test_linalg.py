@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from fracinv import fem, linalg
@@ -226,3 +227,86 @@ def test_layout_lives_with_its_mesh():
     del mesh
     gc.collect()
     assert ref() is None
+
+
+def _lower_band(dense, kd):
+    n = len(dense)
+    ab = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        ab[d, :n - d] = np.diagonal(dense, -d)
+    return ab
+
+
+def _dense_lower(ab):
+    # L from lower band storage: entry (d, r) is L[r + d, r]
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        dense[np.arange(d, n), np.arange(n - d)] = ab[d, :n - d]
+    return dense
+
+
+def _dense_upper(ab):
+    # U from upper band storage: entry (kd - s, c) is U[c - s, c]
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    dense = np.zeros((n, n))
+    for s in range(kd + 1):
+        dense[np.arange(n - s), np.arange(s, n)] = ab[kd - s, s:]
+    return dense
+
+
+def _full_spd(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _permuted_tridiagonal():
+    tri = sp.diags([-np.ones(29), 4.0 * np.ones(30), -np.ones(29)], [-1, 0, 1])
+    perm = sp.identity(30, format="csr")[np.random.default_rng(8).permutation(30)]
+    return sp.csr_matrix((perm @ tri @ perm.T).toarray())
+
+
+def _disk_system():
+    mesh = generate_disk_mesh(0.15)
+    return _on_xh_pattern(mesh, _system_data(mesh, 1.0 + np.random.default_rng(4).random(
+        mesh.n_vertices), 37.0))
+
+
+@pytest.mark.parametrize("n, kd", [(2, 1), (6, 5), (9, 4), (9, 1)])
+def test_band_read_out_gives_the_transposed_factor(n, kd):
+    # lower entry (d, r) moves to upper entry (kd - d, r + d), for an even
+    # and an odd number of band rows and for full bands (kd = n - 1); a 2x2
+    # matrix is tridiagonal, so factorize hands it to SuperLU instead
+    dense = _full_spd(n, kd)
+    dense[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > kd] = 0.0
+    lower, info = lapack.dpbtrf(_lower_band(dense, kd), lower=1)
+    assert info == 0
+    upper = linalg._upper_from_lower(lower.copy(order="F"))
+    assert upper.flags.f_contiguous
+    assert np.array_equal(_dense_upper(upper), _dense_lower(lower).T)
+    b = np.random.default_rng(n).standard_normal(n)
+    x, info = lapack.dpbtrs(upper, b, lower=0)
+    assert info == 0
+    exact = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("make_matrix", [_permuted_tridiagonal,
+                                         lambda: sp.csr_matrix(_full_spd(6, 9)),
+                                         _disk_system],
+                         ids=["permuted-tridiagonal", "full-6", "disk-0.15"])
+def test_band_solver_holds_the_upper_transpose_of_the_lower_factor(make_matrix):
+    # the solver keeps dpbtrf's lower factor L of the reordered matrix, bit
+    # for bit, as L^T in upper band storage, and solves from it
+    a = make_matrix()
+    layout = linalg.FactorLayout(a.indptr, a.indices)
+    assert layout.order is not None
+    solver = linalg.factorize(a, layout)
+    reordered = a.toarray()[np.ix_(layout.order, layout.order)]
+    lower, info = lapack.dpbtrf(_lower_band(reordered, layout.kd), lower=1)
+    assert info == 0
+    assert solver._factor.shape == (layout.kd + 1, a.shape[0])
+    assert np.array_equal(_dense_upper(solver._factor), _dense_lower(lower).T)
+    b = np.random.default_rng(2).standard_normal(a.shape[0])
+    exact = np.linalg.solve(a.toarray(), b)
+    assert np.linalg.norm(solver.solve(b) - exact) <= 1e-12 * np.linalg.norm(exact)
