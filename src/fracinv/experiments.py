@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
@@ -65,6 +66,15 @@ class ExperimentConfig:
         for key in ("h", "n_steps", "h_ref", "n_steps_ref"):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, getattr(problem, key))
+        # a string would reach a comparison below and raise a TypeError that
+        # names no field
+        scalars = ("h", "n_steps", "h_ref", "n_steps_ref", "c_gamma", "c0", "c1",
+                   "discrepancy_factor")
+        for key in scalars + ("alphas", "T_values", "noise_levels", "gammas"):
+            value = getattr(self, key)
+            items = (value,) if key in scalars else value or ()
+            if not all(isinstance(v, numbers.Real) for v in items):
+                raise ValueError(f"{key} must be numeric, got {value!r}")
         check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)
         for key in ("alphas", "T_values", "noise_levels"):  # no empty sweep, no row twice
             values = getattr(self, key)

@@ -36,6 +36,14 @@ def test_config_validation():
             ExperimentConfig(**bad)
 
 
+@pytest.mark.parametrize("key, value", [("n_steps", "5"), ("h", "0.01"), ("T_values", ("1",)),
+                                        ("noise_levels", ("1e-2",)), ("alphas", ("0.5",))])
+def test_config_names_a_string_value(key, value):
+    # each once raised a TypeError, naming no field, from a comparison or power
+    with pytest.raises(ValueError, match=f"^{key} must be numeric"):
+        ExperimentConfig(**{key: value})
+
+
 def test_non_integer_max_iters_rejected():
     # a float count once passed the config, and run_sweep then crashed in
     # its first inversion with a TypeError, which it does not catch
