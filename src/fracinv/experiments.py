@@ -72,7 +72,7 @@ class ExperimentConfig:
                    "discrepancy_factor")
         for key in scalars + ("alphas", "T_values", "noise_levels", "gammas"):
             value = getattr(self, key)
-            items = (value,) if key in scalars else value or ()
+            items = (value,) if key in scalars else () if value is None else value
             if not all(isinstance(v, numbers.Real) for v in items):
                 raise ValueError(f"{key} must be numeric, got {value!r}")
         check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)

@@ -17,7 +17,8 @@ OpenBLAS 0.3.30 the lower-transposed ``dtbsv``, the back substitution of a
 lower ``dpbtrs``, runs 1.4-3 times slower than the other three band
 triangular solves, so an upper ``dpbtrs`` takes a half to two thirds of
 the time of a lower one on the disk's systems, while an upper ``dpbtrf``
-runs up to 8 times slower than a lower one.  ``tools/band_kernels.py`` times all of them.
+runs up to 8 times slower than a lower one.  ``tools/band_kernels.py``
+times all of them.
 """
 
 from __future__ import annotations
