@@ -92,6 +92,8 @@ class ExperimentConfig:
             for i, eps in enumerate(self.noise_levels):
                 check_settings(alpha, self.gamma_for(i), self.c0, self.c1,
                                self.max_iters, self.discrepancy_factor, noise_level=eps)
+        if not isinstance(self.seed, numbers.Integral):  # SeedSequence's TypeError names no field
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         np.random.SeedSequence(self.seed)
 
     def gamma_for(self, i: int) -> float:

@@ -44,6 +44,13 @@ def test_config_names_a_string_value(key, value):
         ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("seed", ["1", 1.5])
+def test_config_names_a_non_integer_seed(seed):
+    # each once raised numpy's TypeError, naming no field
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        ExperimentConfig(seed=seed)
+
+
 def test_non_integer_max_iters_rejected():
     # a float count once passed the config, and run_sweep then crashed in
     # its first inversion with a TypeError, which it does not catch
