@@ -26,7 +26,7 @@ import numpy as np
 from . import fem, timestep
 from .errors import FracinvError
 from .fem import VH, XH, Field
-from .inverse import InverseSpec, check_settings, run_inversion
+from .inverse import InverseSpec, check_noise_level, check_settings, run_inversion
 from .mesh import Mesh, save_mesh
 from .problems import Problem, get_problem, march_grid, problem_mesh
 from .timestep import TimeGrid, Trajectory
@@ -193,6 +193,7 @@ def add_noise(u_coarse: Field, linf_ref: float, eps: float, seed: int):
     Returns the observation and the measured noise level delta (the
     mass-matrix L2 norm of the injected noise field).
     """
+    check_noise_level(eps)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(u_coarse.values.shape)
     noise = eps * linf_ref * xi
@@ -219,8 +220,8 @@ def compute_rate(pairs) -> float:
         raise ValueError("rate fit needs at least two points")
     d = np.array([p[0] for p in pairs], dtype=float)
     e = np.array([p[1] for p in pairs], dtype=float)
-    if (d <= 0).any() or (e <= 0).any():
-        raise ValueError("rate fit needs positive entries")
+    if not ((0.0 < d) & (d < math.inf) & (0.0 < e) & (e < math.inf)).all():
+        raise ValueError("rate fit needs positive finite entries")
     return float(np.polyfit(np.log(d), np.log(e), 1)[0])
 
 

@@ -60,6 +60,8 @@ class InverseSpec:
         if self.q_init is None:
             object.__setattr__(self, "q_init",
                                Field(self.mesh, VH, np.ones(self.mesh.n_vertices)))
+        if self.q_init.mesh is not self.mesh or self.q_init.space != VH:
+            raise ValueError("initial coefficient must be a V_h field on the spec mesh")
         q0 = self.q_init.values
         if not np.isfinite(q0).all():
             raise ValueError("initial coefficient has non-finite entries")
@@ -72,8 +74,8 @@ def check_settings(alpha, gamma, c0, c1, max_iters, discrepancy_factor,
     """ValueError unless the scalar settings of an :class:`InverseSpec` are
     admissible; the one place their rules are written."""
     timestep.cq_weights(alpha, 0)
-    if noise_level is not None and not 0.0 <= noise_level < math.inf:
-        raise ValueError(f"noise level must be nonnegative and finite, got {noise_level}")
+    if noise_level is not None:
+        check_noise_level(noise_level)
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     if not 0.0 < c0 < c1:
@@ -86,6 +88,12 @@ def check_settings(alpha, gamma, c0, c1, max_iters, discrepancy_factor,
     if not 0.0 <= gradient_tol < math.inf:
         raise ValueError("gradient tolerance must be nonnegative and finite, "
                          f"got {gradient_tol}")
+
+
+def check_noise_level(level):
+    """ValueError unless level is a noise level: nonnegative and finite."""
+    if not 0.0 <= level < math.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got {level}")
 
 
 @dataclass(frozen=True, eq=False)

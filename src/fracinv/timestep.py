@@ -11,13 +11,14 @@ partial sums multiplying the initial state, which is how the quadrature
 acts on differences from the initial value and avoids cancellation for
 long histories.
 
-The three marches and the discrete derivative sum their histories with one
-blocked routine, :func:`_march` (after Hairer, Lubich and Schlichte 1985),
-whose block products are dense Toeplitz GEMMs added into the states in
-place: exact up to rounding, O(N^2) flops per degree of freedom at BLAS-3
-speed, and no memory beyond the state array but bounded temporaries.  The
-adjoint runs it on the time-reversed states.  Marches of at most 32 steps
-(every coarse inversion march) are the direct sum; longer ones use 8-step leaves.
+The three marches sum their histories with one blocked routine,
+:func:`_march` (after Hairer, Lubich and Schlichte 1985), whose block
+products are dense Toeplitz GEMMs added into the states in place: exact up
+to rounding, O(N^2) flops per degree of freedom at BLAS-3 speed, and no
+memory beyond the state array but bounded temporaries.  The adjoint runs it
+on the time-reversed states.  Marches of at most 32 steps are the direct
+sum; longer ones use 8-step leaves.  The discrete derivative of stored
+states is one such product, lower triangular, over all of them.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -168,18 +169,12 @@ def solve_sensitivity(forward: Trajectory, d: Field, grid: TimeGrid) -> Trajecto
     W^0 = 0 and each step carries the load -(d grad U^n, grad phi_i) plus
     the quadrature history of W; the map is linear in d.
     """
-    solver = _forward_system(forward, grid)
-    mesh, alpha = forward.mesh, forward.alpha
-    if d.mesh is not mesh or d.space != fem.VH:
-        raise ValueError("direction must be a V_h field on the forward mesh")
-    b = cq_weights(alpha, grid.N)
-    mass = fem.geometry(mesh).mass[XH]
+    solver, b, mass, scale, states = _along(forward, grid, d, fem.VH,
+                                            "direction must be a V_h field")
     # -K(d) U^n for every n, as one sparse product
-    load = -(fem._stiffness_with_coeff(mesh, XH, d.values) @ forward.values.T).T
-    scale = grid.tau ** -alpha
-    states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
+    load = -(fem._stiffness_with_coeff(forward.mesh, XH, d.values) @ forward.values.T).T
     _march(states, b, lambda n, hist: solver.solve(load[n] - scale * (mass @ hist)))
-    return Trajectory(mesh, grid, states, alpha)
+    return Trajectory(forward.mesh, grid, states, forward.alpha)
 
 
 def solve_adjoint(forward: Trajectory, grid: TimeGrid,
@@ -191,38 +186,27 @@ def solve_adjoint(forward: Trajectory, grid: TimeGrid,
     march on the time-reversed states.  The misfit-gradient dual vector
     pairs grad U^n with grad V^n, summed over the steps.
     """
-    solver = _forward_system(forward, grid)
-    mesh, alpha = forward.mesh, forward.alpha
-    if terminal_residual.mesh is not mesh or terminal_residual.space != XH:
-        raise ValueError("terminal residual must be an X_h field on the forward mesh")
-    b = cq_weights(alpha, grid.N)
-    mass = fem.geometry(mesh).mass[XH]
-    scale = grid.tau ** -alpha
-    states = np.zeros((grid.N + 1, fem.n_dofs(mesh, XH)))
+    solver, b, mass, scale, states = _along(forward, grid, terminal_residual, XH,
+                                            "terminal residual must be an X_h field")
     states[-1] = solver.solve(mass @ terminal_residual.values)
     # V^N, ..., V^1; slot 0 (V^0) is not part of the march and stays zero
     _march(states[:0:-1], b, lambda n, hist: solver.solve(-scale * (mass @ hist)))
-    pair = _gradient_pairing(mesh, forward.values[1:], states[1:])
-    dual = Field(mesh, fem.VH, -fem.cell_average_load(mesh, pair))
-    return AdjointSolution(Trajectory(mesh, grid, states, alpha), dual)
+    pair = _gradient_pairing(forward.mesh, forward.values[1:], states[1:])
+    dual = Field(forward.mesh, fem.VH, -fem.cell_average_load(forward.mesh, pair))
+    return AdjointSolution(Trajectory(forward.mesh, grid, states, forward.alpha), dual)
 
 
 def discrete_frac_derivative(traj: Trajectory) -> list[Field]:
-    """The quadrature derivative of the trajectory's order applied to it,
-    for n = 1..N, with the histories from :func:`_march` run on a step that
-    records each history and returns the stored state."""
+    """tau**-alpha (U^n - s_n U^0 + sum_{k<n} b_{n-k} U^k) for n = 1..N: the
+    quadrature derivative of the trajectory's order applied to it, with all
+    histories in one lower-triangular Toeplitz product by :func:`_convolve`."""
     grid, values = traj.grid, traj.values
     b = cq_weights(traj.alpha, grid.N)
-    hist, x = np.empty((grid.N, values.shape[1])), np.zeros_like(values)
-    x[0] = values[0]
-
-    def step(n, h):
-        hist[n - 1] = h
-        return values[n]
-    _march(x, b, step)
-    hist += values[1:] - np.cumsum(b)[1:, None] * values[0]
-    hist *= grid.tau ** -traj.alpha
-    return [Field(traj.mesh, XH, row) for row in hist]
+    out = np.multiply.outer(-np.cumsum(b)[1:], values[0])
+    out += values[1:]
+    _convolve(values[:-1], np.concatenate([np.zeros(grid.N), b[1:]]), out)
+    out *= grid.tau ** -traj.alpha
+    return [Field(traj.mesh, XH, row) for row in out]
 
 
 def _march(x, b, step):
@@ -266,10 +250,10 @@ def _direct_sum(x, b, lo, n):
 
 
 def _convolve(rows, b, out):
-    """out[i] += sum_j b[len(rows) + i - j] rows[j]: the history of a
-    finished block added to the rows that follow it (slices of one state
-    array, or both of the adjoint's time-reversed view), by Toeplitz GEMMs
-    that dgemm adds into _CHUNK rows of out at a time in place."""
+    """out[i] += sum_j b[len(rows) + i - j] rows[j]: a finished block's
+    history added to the rows that follow it (slices of one state array,
+    both of the adjoint's time-reversed view, or the derivative's rows) by
+    Toeplitz GEMMs that dgemm adds into _CHUNK rows of out at a time in place."""
     m = len(rows)
     # window[i, k] = b[1 + i + k], the weight of row m - 1 - k
     window = np.lib.stride_tricks.sliding_window_view(b[1:m + len(out)], m)
@@ -297,15 +281,19 @@ def _gradient_pairing(mesh, u, v):
     return pair
 
 
-def _forward_system(forward: Trajectory, grid: TimeGrid):
-    """The factorized system a forward trajectory carries, checked against
-    the grid of the march that is to reuse it."""
+def _along(forward: Trajectory, grid: TimeGrid, field: Field, space: str, what: str):
+    """The carried factor, CQ weights, X_h mass matrix, tau**-alpha and zero
+    states of a march along forward on grid that takes field, named by what."""
     if forward.grid != grid:
         raise ValueError(f"trajectory grid {forward.grid} does not match {grid}")
     if forward.solver is None:
         raise ValueError("trajectory carries no factorized system; "
                          "march it with solve_forward")
-    return forward.solver
+    if field.mesh is not forward.mesh or field.space != space:
+        raise ValueError(f"{what} on the forward mesh")
+    return (forward.solver, cq_weights(forward.alpha, grid.N),
+            fem.geometry(forward.mesh).mass[XH], grid.tau ** -forward.alpha,
+            np.zeros((grid.N + 1, fem.n_dofs(forward.mesh, XH))))
 
 
 def save_trajectory(traj: Trajectory, directory, mesh_file="") -> None:

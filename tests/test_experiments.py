@@ -281,6 +281,22 @@ def test_compute_rate_validation():
         compute_rate([(1e-2, 1.0), (1e-3, -1.0)])
 
 
+def test_compute_rate_rejects_non_finite_pairs():
+    for bad in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
+        with pytest.raises(ValueError, match="positive finite"):
+            compute_rate([(1e-2, 1.0), bad])
+
+
+def test_add_noise_applies_the_noise_level_rule():
+    mesh = problem_mesh(get_problem("1d-sine"), 1.0 / 8.0)
+    u = Field(mesh, XH, np.ones(fem.n_dofs(mesh, XH)))
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+            add_noise(u, 1.0, eps, seed=1)
+    z, delta = add_noise(u, 1.0, 0.0, seed=1)
+    assert delta == 0.0 and np.array_equal(z.values, u.values)
+
+
 def test_run_sweep_writes_artifacts(tmp_path):
     cfg = ExperimentConfig(problem="1d-sine", alphas=(0.5,), T_values=(1.0,),
                            noise_levels=(1e-2, 5e-3), c_gamma=4e-4, seed=1,

@@ -473,6 +473,17 @@ def test_non_integer_max_iters_rejected():
     assert make_spec(mesh, z=z, max_iters=np.int64(3)).max_iters == 3
 
 
+def test_spec_rejects_an_initial_coefficient_off_its_mesh_or_space():
+    # an X_h one, and a V_h one on another mesh of the same size, fail only
+    # at the first march with a message that does not name q_init
+    mesh = generate_interval_mesh(8)
+    other = generate_interval_mesh(8)
+    for q in (Field(mesh, XH, np.ones(fem.n_dofs(mesh, XH))),
+              Field(other, VH, np.ones(other.n_vertices))):
+        with pytest.raises(ValueError, match="initial coefficient must be a V_h field"):
+            make_spec(mesh, q_init=q)
+
+
 def test_spec_validation():
     mesh = generate_interval_mesh(8)
     z = Field(mesh, XH, np.zeros(fem.n_dofs(mesh, XH)))

@@ -15,6 +15,11 @@ def test_interval_mesh_basic():
     assert m.boundary.sum() == 2
 
 
+def test_mesh_repr():
+    assert repr(generate_interval_mesh(4)) == \
+        "Mesh(dim=1, n_vertices=5, n_cells=4, h=0.25, domain='interval')"
+
+
 def test_interval_mesh_degenerate():
     m = generate_interval_mesh(1)
     assert m.n_vertices == 2 and m.n_cells == 1

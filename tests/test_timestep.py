@@ -650,6 +650,19 @@ class TestFracDerivative:
             expect = grid.tau ** -0.3 * (b[n::-1] @ values[:n + 1] - s[n] * values[0])
             assert relative_gap(derivs[n - 1].values, expect) <= 1e-12
 
+    def test_derivative_memory_stays_near_its_state_array(self):
+        # a forward-1d-sized trajectory: 1599 dofs, 1280 steps
+        mesh = generate_interval_mesh(1600)
+        traj = solve_forward(mesh, unit_coefficient(mesh), u0_parabola, 1.0, 0.5,
+                             TimeGrid(1.0, 1280))
+        tracemalloc.start()
+        try:
+            discrete_frac_derivative(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - traj.values.nbytes <= 2 * 2 ** 20
+
 
 def test_time_grid_validation():
     for T in (0.0, np.nan, np.inf):
