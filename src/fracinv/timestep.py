@@ -15,10 +15,11 @@ The three marches sum their histories with one blocked routine,
 :func:`_march` (after Hairer, Lubich and Schlichte 1985), whose block
 products are dense Toeplitz GEMMs added into the states in place: exact up
 to rounding, O(N^2) flops per degree of freedom at BLAS-3 speed, and no
-memory beyond the state array but bounded temporaries.  The adjoint runs it
-on the time-reversed states.  Marches of at most 32 steps are the direct
-sum; longer ones use 8-step leaves.  The discrete derivative of stored
-states is one such product, lower triangular, over all of them.
+memory beyond the state array but bounded temporaries.  Every march fills
+its array forward in memory, the adjoint from V^N on.  Marches of at most
+32 steps are the direct sum; longer ones use 8-step leaves.  The discrete
+derivative of stored states is one such product, lower triangular, over
+all of them.
 
 The sensitivity solver differentiates the discrete forward march along a
 coefficient direction, and the adjoint solver is its exact algebraic
@@ -183,14 +184,15 @@ def solve_adjoint(forward: Trajectory, grid: TimeGrid,
 
     Runs backwards from A V^N = M r, each earlier state collecting the
     transposed quadrature history of the later ones: the forward history
-    march on the time-reversed states.  The misfit-gradient dual vector
-    pairs grad U^n with grad V^n, summed over the steps.
+    march on an array that holds V^N first.  The misfit-gradient dual
+    vector pairs grad U^n with grad V^n, summed over the steps.
     """
     solver, b, mass, scale, states = _along(forward, grid, terminal_residual, XH,
                                             "terminal residual must be an X_h field")
-    states[-1] = solver.solve(mass @ terminal_residual.values)
-    # V^N, ..., V^1; slot 0 (V^0) is not part of the march and stays zero
-    _march(states[:0:-1], b, lambda n, hist: solver.solve(-scale * (mass @ hist)))
+    states[0] = solver.solve(mass @ terminal_residual.values)
+    # V^N, ..., V^1; the last row (V^0) is not part of the march and stays zero
+    _march(states[:-1], b, lambda n, hist: solver.solve(-scale * (mass @ hist)))
+    states = states[::-1]  # in time order, a view
     pair = _gradient_pairing(forward.mesh, forward.values[1:], states[1:])
     dual = Field(forward.mesh, fem.VH, -fem.cell_average_load(forward.mesh, pair))
     return AdjointSolution(Trajectory(forward.mesh, grid, states, forward.alpha), dual)
@@ -230,7 +232,7 @@ def _march(x, b, step):
     for lo in range(0, rows, leaf):
         hi = min(lo + leaf, rows)
         for n in range(max(lo, 1), hi):
-            hist = _direct_sum(x, b, lo, n)
+            hist = b[n - lo:0:-1] @ x[lo:n]  # oldest row first
             if lo:
                 hist += x[n]
             x[n] = step(n, hist)
@@ -239,27 +241,14 @@ def _march(x, b, step):
             _convolve(x[hi - size:hi], b, x[hi:hi + size])
 
 
-def _direct_sum(x, b, lo, n):
-    """sum_{k=lo..n-1} b[n-k] x[k], summed in the order the rows lie in
-    memory: on the time-reversed adjoint view that still hands BLAS
-    positive strides, and sums as a march written backwards in time."""
-    rows, weights = x[lo:n], b[n - lo:0:-1]
-    if x.strides[0] < 0:
-        rows, weights = rows[::-1], weights[::-1]
-    return weights @ rows
-
-
 def _convolve(rows, b, out):
     """out[i] += sum_j b[len(rows) + i - j] rows[j]: a finished block's
-    history added to the rows that follow it (slices of one state array,
-    both of the adjoint's time-reversed view, or the derivative's rows) by
-    Toeplitz GEMMs that dgemm adds into _CHUNK rows of out at a time in place."""
+    history added to the rows that follow it (slices of one state array, or
+    the derivative's rows) by Toeplitz GEMMs that dgemm adds into _CHUNK
+    rows of out at a time in place."""
     m = len(rows)
-    # window[i, k] = b[1 + i + k], the weight of row m - 1 - k
-    window = np.lib.stride_tricks.sliding_window_view(b[1:m + len(out)], m)
-    # BLAS needs positive strides, also on the time-reversed adjoint view
-    rows, out, window = ((rows[::-1], out[::-1], window[::-1]) if rows.strides[0] < 0
-                         else (rows, out, window[:, ::-1]))
+    # window[i, j] = b[m + i - j], the weight of row j
+    window = np.lib.stride_tricks.sliding_window_view(b[1:m + len(out)], m)[:, ::-1]
     for c in range(0, len(out), _CHUNK):  # out.T += rows.T @ window.T, Fortran order
         dgemm(1.0, rows.T, np.ascontiguousarray(window[c:c + _CHUNK]).T, 1.0,
               out[c:c + _CHUNK].T, overwrite_c=True)

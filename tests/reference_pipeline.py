@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+MAX_BACKTRACKS = 20  # halvings of a step that does not decrease the objective
+
 # per cell of dimension 1 and 2: barycentric coordinates of the quadrature
 # points of the data integrals, and their weights as fractions of the measure
 _GAUSS = (0.5 + 0.5 / math.sqrt(3.0), 0.5 - 0.5 / math.sqrt(3.0))
@@ -131,14 +133,11 @@ class Reference:
         """The misfit gradient from the adjoint states: -sum_n V^n . K(phi_v) U^n."""
         return -sum(np.einsum("vij,i,j->v", self.dK, V[n], U[n]) for n in range(1, len(U)))
 
-    def norm(self, g):
-        return math.sqrt(max(g @ self.MV @ g, 0.0))
-
 
 def run_inversion(ref, alpha, T, N, u0, f, z, gamma, c0, c1, q_init, max_iters,
                   noise_level, discrepancy_factor):
-    """fracinv.inverse.run_inversion on the dense pieces; returns the
-    (q, J, step) of each accepted iteration."""
+    """fracinv.inverse.run_inversion, with a known noise level, on the
+    dense pieces; returns the (q, J, step) of each accepted iteration."""
 
     def evaluate(q):
         U = ref.forward(q, u0, f, alpha, T, N)
@@ -150,14 +149,14 @@ def run_inversion(ref, alpha, T, N, u0, f, z, gamma, c0, c1, q_init, max_iters,
     U, J, misfit, r = evaluate(q)
     riesz = ref.MV + ref.K1
     history, g_prev, d_prev = [], None, None
-    for k in range(max_iters):
+    for _ in range(max_iters):
         if math.sqrt(2.0 * misfit) <= discrepancy_factor * noise_level:
             break
         S = ref.sensitivity_operator(q, U, alpha, T)[-1]
         g = np.linalg.solve(riesz, -(S.T @ ref.M @ r + gamma * ref.K1 @ q))
-        d = g
-        if g_prev is not None and ref.norm(g_prev) > 0.0:
-            beta = ref.norm(g) ** 2 / ref.norm(g_prev) ** 2
+        d = g  # Fletcher-Reeves, restarted when beta would exceed one
+        if g_prev is not None and g_prev @ ref.MV @ g_prev != 0.0:
+            beta = (g @ ref.MV @ g) / (g_prev @ ref.MV @ g_prev)
             if beta <= 1.0:
                 d = beta * d_prev + g
         accepted = None
@@ -175,7 +174,7 @@ def run_inversion(ref, alpha, T, N, u0, f, z, gamma, c0, c1, q_init, max_iters,
                 disc = rw * rw - ww * (rr - target)
                 if disc >= 0.0 and 0.0 < (-rw - math.sqrt(disc)) / ww < s:
                     s = (-rw - math.sqrt(disc)) / ww
-            for _ in range(21):
+            for _ in range(MAX_BACKTRACKS + 1):
                 q_try = np.clip(q + s * direction, c0, c1)
                 trial = evaluate(q_try)
                 if trial[1] <= J:
