@@ -95,6 +95,14 @@ class ExperimentConfig:
         if not isinstance(self.seed, numbers.Integral):  # SeedSequence's TypeError names no field
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         np.random.SeedSequence(self.seed)
+        # plain Python numbers, which the JSON report can write
+        for key in ("alphas", "T_values", "noise_levels", "gammas"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
+        for key in scalars + ("seed", "max_iters"):
+            value = getattr(self, key)
+            object.__setattr__(self, key, (int if isinstance(value, numbers.Integral)
+                                           else float)(value))
 
     def gamma_for(self, i: int) -> float:
         if self.gammas is not None:

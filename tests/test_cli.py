@@ -73,6 +73,21 @@ def test_forward_writes_dump_and_echo(tmp_path, capsys):
     assert (tmp_path / "out" / "mesh.txt").exists()
 
 
+def test_output_directory_defaults_to_the_environment_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACINV_OUTPUT_DIR", str(tmp_path / "env-out"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["forward", write_cfg(tmp_path, BASE)]) == EXIT_OK
+    assert (tmp_path / "env-out" / "u_terminal.field").exists()
+    assert not (tmp_path / "fracinv-out").exists()
+
+
+def test_output_directory_defaults_to_fracinv_out(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRACINV_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["forward", write_cfg(tmp_path, BASE)]) == EXIT_OK
+    assert (tmp_path / "fracinv-out" / "u_terminal.field").exists()
+
+
 def test_forward_constant_coefficient(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE + f"\n[output]\ndirectory = {tmp_path}/out\n")
     assert main(["forward", cfg_path, "--set", "problem.q=1.0"]) == EXIT_OK

@@ -323,6 +323,20 @@ def test_run_sweep_writes_artifacts(tmp_path):
     assert len(field_dumps) == 2
 
 
+def test_run_sweep_writes_the_json_report_of_numpy_inputs(tmp_path):
+    # numpy sweeps and scalars pass the config's checks; the JSON report,
+    # written after the whole sweep, once raised on them
+    cfg = ExperimentConfig(problem="1d-sine", alphas=np.array([0.5]),
+                           noise_levels=np.array([1e-2]), seed=np.int64(3),
+                           max_iters=np.int64(5), output_dir=str(tmp_path / "out"),
+                           **{key: np.array(value)[()] for key, value in FAST.items()})
+    assert cfg.alphas == (0.5,) and type(cfg.alphas[0]) is float
+    assert type(cfg.n_steps) is int and type(cfg.seed) is int and type(cfg.h) is float
+    run_sweep(cfg)
+    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert config["alphas"] == [0.5] and config["n_steps"] == 8 and config["seed"] == 3
+
+
 def test_run_sweep_records_a_failed_run_and_goes_on(tmp_path, monkeypatch):
     # a solver failure in one run becomes a record with its message and NaN
     # metrics; the other runs, the rate fit and the report are unaffected

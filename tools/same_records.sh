@@ -5,7 +5,10 @@
 #
 # Unpacks REV and the working tree's tracked files into two directories under
 # a temporary directory, runs `python3 perfbench/record.py` in each, prints
-# the diff of the two stdouts and exits 1 if they differ.  record.py rewrites
+# the diff of the two stdouts and exits 1 if they differ.  When they differ it
+# then prints one line per record: the iteration count and the converged flag
+# at REV -> in the working tree, and the relative change of delta, e_q and e_u
+# (of the terminal norm, for forward-1d).  record.py rewrites
 # perfbench/reference.json, so it runs only in the copies: nothing inside the
 # repository is written.
 set -euo pipefail
@@ -30,5 +33,42 @@ done
 if diff -u --label "$rev" --label "working tree" "$tmp/rev.out" "$tmp/tree.out"; then
     echo "same_records: identical records at $rev and in the working tree" >&2
 else
+    python3 - "$tmp/rev.out" "$tmp/tree.out" <<'PY' || true
+import json
+import sys
+
+
+def records(path):
+    """{label: record} from record.py's 'WORKLOAD data seed S: JSON' lines."""
+    out = {}
+    for line in open(path):
+        head, _, body = line.partition(": ")
+        value = json.loads(body)
+        if isinstance(value, dict):  # forward-1d: the terminal norm per alpha
+            value = [{"alpha": float(a), "norm": v} for a, v in value.items()]
+        for rec in value:
+            keys = " ".join(f"{k}={rec[k]:g}" for k in ("alpha", "eps") if k in rec)
+            out[f"{head} {keys}"] = rec
+    return out
+
+
+def change(before, after):
+    if before == after:
+        return "0"
+    return f"{(after - before) / abs(before):+.2e}" if before else f"{before} -> {after}"
+
+
+before, after = (records(path) for path in sys.argv[1:])
+for label in dict.fromkeys([*before, *after]):
+    old, new = before.get(label), after.get(label)
+    if old is None or new is None:
+        print(f"{label}: only {'in the working tree' if old is None else 'at the revision'}")
+    elif "norm" in old:
+        print(f"{label}: norm {change(old['norm'], new['norm'])}")
+    else:
+        print(f"{label}: iters {old['iters']} -> {new['iters']}, converged "
+              f"{old['converged']} -> {new['converged']}, "
+              + ", ".join(f"{k} {change(old[k], new[k])}" for k in ("delta", "e_q", "e_u")))
+PY
     exit 1
 fi
