@@ -401,6 +401,25 @@ def test_run_sweep_deterministic():
         assert a.iters == b.iters
 
 
+def test_run_sweep_draws_one_noise_realization_per_row(monkeypatch):
+    # each (alpha, T) row has its own draw, scaled by every noise level
+    draws = []
+
+    def recording(u, linf, eps, seed):
+        z, delta = add_noise(u, linf, eps, seed)
+        draws.append((z.values - u.values) / (eps * linf))
+        return z, delta
+
+    monkeypatch.setattr(experiments, "add_noise", recording)
+    run_sweep(ExperimentConfig(problem="1d-sine", alphas=(0.25, 0.75), T_values=(1.0,),
+                               noise_levels=(1e-2, 5e-3), seed=1, max_iters=2, **FAST))
+    assert len(draws) == 4
+    first_row, second_row = draws[:2], draws[2:]
+    for a, b in (first_row, second_row):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+    assert not np.allclose(first_row[0], second_row[0], rtol=0.0, atol=0.1)
+
+
 def test_run_sweep_noise_free_below_discretization_floor():
     # eps = 0 with a vanishing penalty: the reconstruction error sits below
     # the combined discretization floor of the coarse grid

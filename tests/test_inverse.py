@@ -5,11 +5,13 @@ import pytest
 
 from fracinv import fem, inverse, linalg, timestep
 from fracinv.errors import DegenerateDirectionError
+from fracinv.experiments import add_noise, exact_data
 from fracinv.fem import VH, XH, Field
 from fracinv.inverse import (InverseSpec, cg_direction,
                              gradient, objective, project_admissible,
                              run_inversion, smooth_direction, step_size)
 from fracinv.mesh import generate_interval_mesh
+from fracinv.problems import get_problem, problem_mesh
 from fracinv.timestep import TimeGrid
 
 
@@ -460,6 +462,39 @@ def test_rounding_of_the_data_leaves_the_iteration_count(level):
         noise_level=delta, discrepancy_factor=1.1)).iterations
         for eps in (0.0, 1e-13, -1e-13)}
     assert len(counts) == 1
+
+
+def test_an_overshooting_step_is_halved_until_j_falls(monkeypatch):
+    # 64 times the model step overshoots at every iteration, so each one
+    # halves its step 5-6 times before the objective falls
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 1.0 / 20.0)
+    u_ref, linf = exact_data(problem, problem_mesh(problem, 1.0 / 80.0), mesh, 0.5,
+                             TimeGrid(1.0, 40))
+    z, delta = add_noise(u_ref, linf, 1e-2, 1)
+    spec = InverseSpec(mesh=mesh, alpha=0.5, grid=TimeGrid(1.0, 10), u0=problem.u0,
+                       f=problem.f, z_delta=z, gamma=4e-8, noise_level=delta,
+                       discrepancy_factor=1.05)
+    model, evaluate = inverse.step_size, inverse._evaluate
+    steps = []  # [model step, forward marches after it]
+
+    def overshooting(*args):
+        steps.append([model(*args), 0])
+        return 64.0 * steps[-1][0]
+
+    def counting(*args):
+        if steps:
+            steps[-1][1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(inverse, "step_size", overshooting)
+    monkeypatch.setattr(inverse, "_evaluate", counting)
+    result = run_inversion(spec)
+    assert (result.reason, result.converged) == ("discrepancy", True)
+    assert len(steps) == result.iterations >= 10
+    assert all(trials >= 6 for _, trials in steps)
+    assert [it.step for it in result.history] == \
+        [64.0 * s * 0.5 ** (trials - 1) for s, trials in steps]
 
 
 def test_non_integer_max_iters_rejected():
