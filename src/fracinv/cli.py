@@ -74,7 +74,7 @@ SCHEMA = {
     },
     "sweep": {
         "alphas": (_FLOAT_LIST, (0.5,)),
-        "T_values": (_FLOAT_LIST, ()),  # empty -> problem default
+        "T_values": (_FLOAT_LIST, ()),  # empty -> (problem.T,), then required
         "noise_levels": (_FLOAT_LIST, (1e-2, 5e-3, 2.5e-3, 1e-3)),
         "gammas": (_FLOAT_LIST, ()),    # empty -> c_gamma rule
         "c_gamma": (float, experiments.ExperimentConfig.c_gamma),

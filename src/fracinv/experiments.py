@@ -44,7 +44,7 @@ class ExperimentConfig:
 
     problem: str = "1d-sine"
     alphas: tuple = (0.5,)
-    T_values: tuple = (1.0,)
+    T_values: tuple | None = None  # None takes the problem's own T
     noise_levels: tuple = (1e-2,)
     gammas: tuple | None = None
     c_gamma: float = 4e-4
@@ -66,6 +66,8 @@ class ExperimentConfig:
         for key in ("h", "n_steps", "h_ref", "n_steps_ref"):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, getattr(problem, key))
+        if self.T_values is None:
+            object.__setattr__(self, "T_values", (problem.T,))
         # a string would reach a comparison below and raise a TypeError that
         # names no field
         scalars = ("h", "n_steps", "h_ref", "n_steps_ref", "c_gamma", "c0", "c1",
@@ -327,8 +329,8 @@ def check_positivity(problem: Problem, mesh: Mesh, alpha: float, grid: TimeGrid)
     traj = solve_truth(problem, mesh, alpha, grid)
     u_term = traj.terminal
     d_term = timestep.discrete_frac_derivative(traj)[-1]
-    grad_sq = np.einsum("cd,cd->c", fem.cell_gradient(u_term),
-                        fem.cell_gradient(u_term))
+    grad = fem.cell_gradient(u_term)
+    grad_sq = np.einsum("cd,cd->c", grad, grad)
     q = fem.interpolate(mesh, VH, problem.q_true)
     q_cell = q.values[mesh.cells].mean(axis=1)
     f_nodal = fem.interpolate(mesh, VH, problem.f).values

@@ -93,10 +93,11 @@ class Geometry:
         # vertex index -> dof index, -1 for vertices outside the space
         self.dofs = {VH: np.arange(mesh.n_vertices), XH: xh}
         self.measures = cell_measures(mesh)
-        self.gradients = _cell_basis_gradients(mesh, self.measures)
+        self.gradients = _cell_basis_gradients(mesh)
         self._patterns = {space: _pattern(self.cells, self.dofs[space])
                           for space in (VH, XH)}
         self.layouts = {}
+        self._gradient_maps = {}
         self.mass = {space: self.scatter(space, self.local_mass()) for space in (VH, XH)}
         self.stiffness = self.scatter(VH, self.local_stiffness(np.ones(mesh.n_vertices)))
 
@@ -133,19 +134,20 @@ class Geometry:
         """Factorized full-H1 Riesz matrix M_V + K_V(1)."""
         return self.factorize(VH, self.mass[VH].data + self.stiffness.data)
 
-    @cached_property
-    def xh_gradients(self) -> list[sp.csr_matrix]:
-        """Per dimension, the map from X_h values to that component of the
-        cellwise gradient: one row per cell, holding its vertices in local
-        order, which is the order :func:`cell_gradient` sums them in."""
-        dof = self.dofs[XH][self.cells]
-        nloc = dof.shape[1]
-        # boundary vertices carry zero: their entries are zero
-        grads = np.where((dof >= 0)[..., None], self.gradients, 0.0)
-        indptr = np.arange(0, dof.size + 1, nloc)
-        shape = (len(self.cells), len(self.interior))
-        return [sp.csr_matrix((grads[:, :, d].ravel(), np.maximum(dof, 0).ravel(), indptr),
+    def gradient_maps(self, space) -> list[sp.csr_matrix]:
+        """Per dimension, the map from the space's values to that component
+        of the cellwise gradient: one row per cell, holding its vertices in
+        local order.  Built per space on first use."""
+        if space not in self._gradient_maps:
+            dof = self.dofs[space][self.cells]
+            # vertices outside the space carry zero: their entries are zero
+            grads = np.where((dof >= 0)[..., None], self.gradients, 0.0)
+            indptr = np.arange(0, dof.size + 1, dof.shape[1])
+            shape = (len(self.cells), np.count_nonzero(self.dofs[space] >= 0))
+            self._gradient_maps[space] = [
+                sp.csr_matrix((grads[:, :, d].ravel(), np.maximum(dof, 0).ravel(), indptr),
                               shape=shape) for d in range(self.dim)]
+        return self._gradient_maps[space]
 
 
 def _pattern(cells, dof):
@@ -184,21 +186,15 @@ def geometry(mesh: Mesh) -> Geometry:
     return geo
 
 
-def _cell_basis_gradients(mesh, meas):
-    """Gradients of the nodal basis functions per cell, shape (n_cells, nloc, dim)."""
-    if mesh.dim == 1:
-        grads = np.empty((mesh.n_cells, 2, 1))
-        grads[:, 0, 0] = -1.0 / meas
-        grads[:, 1, 0] = 1.0 / meas
-        return grads
-    p = mesh.vertices[mesh.cells]  # (n_c, 3, 2)
-    grads = np.empty((mesh.n_cells, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-        grads[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-    grads /= (2.0 * meas)[:, None, None]
-    return grads
+def _cell_basis_gradients(mesh):
+    """Gradients of the nodal basis functions per cell, shape (n_cells, dim + 1, dim).
+
+    Those of functions 1..dim are the columns of the inverse of the cell's
+    edge matrix (rows p_i - p_0), and that of function 0 is minus their sum.
+    """
+    corners = mesh.vertices[mesh.cells]
+    inverse = np.linalg.inv(corners[:, 1:] - corners[:, :1])
+    return np.concatenate([-inverse.sum(axis=2)[:, None], inverse.transpose(0, 2, 1)], axis=1)
 
 
 def assemble_mass(mesh: Mesh, space: str) -> sp.csr_matrix:
@@ -314,9 +310,8 @@ def seminorm_w1inf(v: Field) -> float:
 
 def cell_gradient(v: Field) -> np.ndarray:
     """Cellwise constant gradient of a field, shape (n_cells, dim)."""
-    grads = geometry(v.mesh).gradients
-    nodal = v.extend()
-    return np.einsum("cl,cld->cd", nodal[v.mesh.cells], grads)
+    return np.column_stack([op @ v.values
+                            for op in geometry(v.mesh).gradient_maps(v.space)])
 
 
 def cell_average_load(mesh: Mesh, cellwise: np.ndarray) -> np.ndarray:
@@ -343,16 +338,15 @@ def evaluate_at_points(v: Field, points: np.ndarray) -> np.ndarray:
         x = mesh.vertices[:, 0]
         order = np.argsort(x)
         return np.interp(points[:, 0], x[order], nodal[order])
-    corners = mesh.vertices[mesh.cells]
-    p0, e1, e2 = corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads, corners = geometry(mesh).gradients, mesh.vertices[mesh.cells]
 
-    def coordinates(pts, cell):  # of pts in cell, and their minimum
-        r = pts - p0[cell]
-        l1 = (r[:, 0] * e2[cell, 1] - r[:, 1] * e2[cell, 0]) / det[cell]
-        l2 = (e1[cell, 0] * r[:, 1] - e1[cell, 1] * r[:, 0]) / det[cell]
-        l0 = 1.0 - l1 - l2
-        return np.column_stack([l0, l1, l2]), np.minimum(l0, np.minimum(l1, l2))
+    def coordinates(pts, cell):  # of pts in cell, e_0 + G_c (x - p_0), and their minimum
+        r = pts - corners[cell, 0]
+        lam = grads[cell, :, 0] * r[:, :1]
+        for d in range(1, mesh.dim):
+            lam += grads[cell, :, d] * r[:, d:d + 1]
+        lam[:, 0] += 1.0
+        return lam, lam.min(axis=1)
 
     near = _bucket_cells(corners, points)  # each point's row holds every cell holding it
     lam, low = coordinates(np.repeat(points, np.diff(near.indptr), axis=0), near.indices)

@@ -257,10 +257,10 @@ def _convolve(rows, b, out):
 def _gradient_pairing(mesh, u, v):
     """Per cell, sum over the rows n of grad u[n] . grad v[n] for X_h state
     arrays u and v, in blocks of rows whose temporaries stay within the
-    size of u.  The sums run in the order of a loop over
-    :func:`fem.cell_gradient` pairs, so the result is that loop's, bit for
-    bit."""
-    ops = fem.geometry(mesh).xh_gradients
+    size of u.  The gradients come from the maps that
+    :func:`fem.cell_gradient` applies, and the sums run in the order of a
+    loop over its pairs, so the result is that loop's, bit for bit."""
+    ops = fem.geometry(mesh).gradient_maps(XH)
     block = max(1, u.size // mesh.n_cells)
     pair = np.zeros(mesh.n_cells)
     for lo in range(0, len(u), block):

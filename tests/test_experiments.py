@@ -82,6 +82,12 @@ def test_config_builds_no_mesh(monkeypatch):
     ExperimentConfig(problem="2d-disk", alphas=(0.25, 1.0), T_values=(1e-5, 2.0))
 
 
+def test_config_takes_the_problems_terminal_time():
+    assert ExperimentConfig(problem="2d-disk").T_values == (2.0,)
+    assert ExperimentConfig(problem="1d-sine").T_values == (1.0,)
+    assert ExperimentConfig(problem="2d-disk", T_values=(1.0,)).T_values == (1.0,)
+
+
 @pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
 def test_config_takes_the_problems_grids(monkeypatch, name):
     # the problem's own grids fill the config, and both of its default

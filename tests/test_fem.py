@@ -72,6 +72,41 @@ def test_local_stiffness_equals_einsum(mesh):
         assert np.array_equal(geo.local_stiffness(coeff), oracle)
 
 
+def test_interval_basis_gradients_are_the_inverse_lengths():
+    # uniform, and shuffled, unevenly spaced vertices whose cells are given
+    # right to left
+    x = np.random.default_rng(6).permutation(np.linspace(0.0, 1.0, 12) ** 1.3)
+    order = np.argsort(x)
+    uneven = build_mesh(1, x[:, None], np.column_stack([order[:-1], order[1:]])[:, ::-1])
+    for mesh in (generate_interval_mesh(17), uneven):
+        geo = fem.geometry(mesh)
+        assert np.array_equal(geo.gradients[:, :, 0],
+                              np.column_stack([-1.0 / geo.measures, 1.0 / geo.measures]))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.1])
+def test_cell_gradient_recovers_a_linear_function(h):
+    mesh = generate_disk_mesh(h)
+    slope = np.random.default_rng(7).standard_normal(2)
+    values = 0.3 + mesh.vertices @ slope
+    # an X_h field is zero on the boundary, so only cells off it are linear
+    inside = np.isin(mesh.cells, mesh.interior).all(axis=1)
+    for field, cells in ((Field(mesh, VH, values), slice(None)),
+                         (Field(mesh, XH, values[mesh.interior]), inside)):
+        grad = fem.cell_gradient(field)
+        assert grad.shape == (mesh.n_cells, 2)
+        np.testing.assert_allclose(grad[cells], np.broadcast_to(slope, grad[cells].shape),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mesh", [generate_interval_mesh(17), generate_disk_mesh(0.1)],
+                         ids=["interval", "disk"])
+def test_basis_gradients_sum_to_zero_per_cell(mesh):
+    grads = fem.geometry(mesh).gradients
+    scale = np.abs(grads).max(axis=(1, 2))
+    assert (np.abs(grads.sum(axis=1)).max(axis=1) <= 4 * np.finfo(float).eps * scale).all()
+
+
 def test_stiffness_rejects_nonpositive_coefficient():
     m = generate_interval_mesh(4)
     q = Field(m, VH, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
@@ -345,20 +380,18 @@ def test_evaluate_at_points_linear_exact():
 
 
 def reference_scan(v, points):
-    # every cell tried for every point, as fem.evaluate_at_points first did
+    # every cell tried for every point, as fem.evaluate_at_points first did,
+    # with the barycentric coordinates e_0 + G_c (x - p_0) from the cell's
+    # basis gradients G_c
     mesh, nodal = v.mesh, v.extend()
-    p0 = mesh.vertices[mesh.cells[:, 0]]
-    e1 = mesh.vertices[mesh.cells[:, 1]] - p0
-    e2 = mesh.vertices[mesh.cells[:, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    p0, grads = mesh.vertices[mesh.cells[:, 0]], fem.geometry(mesh).gradients
     out = np.empty(len(points))
     for i, pt in enumerate(points):
         r = pt - p0
-        l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
-        l0 = 1.0 - l1 - l2
-        c = int(np.argmax(np.minimum(l0, np.minimum(l1, l2))))
-        lam = np.clip([l0[c], l1[c], l2[c]], 0.0, None)
+        lam = grads[:, :, 0] * r[:, :1] + grads[:, :, 1] * r[:, 1:]
+        lam[:, 0] += 1.0
+        c = int(np.argmax(lam.min(axis=1)))
+        lam = np.clip(lam[c], 0.0, None)
         lam /= lam.sum()
         out[i] = lam @ nodal[mesh.cells[c]]
     return out

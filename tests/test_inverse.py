@@ -497,6 +497,39 @@ def test_an_overshooting_step_is_halved_until_j_falls(monkeypatch):
         [64.0 * s * 0.5 ** (trials - 1) for s, trials in steps]
 
 
+def test_a_trial_that_raises_j_by_a_hair_is_halved(monkeypatch):
+    # the safeguard takes no slack: a first trial whose objective lies a
+    # relative 1e-9 above J_0 is rejected and its step halved
+    problem = get_problem("1d-sine")
+    mesh = problem_mesh(problem, 1.0 / 20.0)
+    u_ref, linf = exact_data(problem, problem_mesh(problem, 1.0 / 80.0), mesh, 0.5,
+                             TimeGrid(1.0, 40))
+    z, delta = add_noise(u_ref, linf, 1e-2, 1)
+    spec = InverseSpec(mesh=mesh, alpha=0.5, grid=TimeGrid(1.0, 10), u0=problem.u0,
+                       f=problem.f, z_delta=z, gamma=4e-8, noise_level=delta,
+                       discrepancy_factor=1.05, max_iters=1)
+    model, evaluate = inverse.step_size, inverse._evaluate
+    steps, values = [], []  # model steps; J of each evaluation, as returned
+
+    def recording(*args):
+        steps.append(model(*args))
+        return steps[-1]
+
+    def raising_the_first_trial(*args):
+        traj, parts = evaluate(*args)
+        if len(values) == 1:
+            parts = (values[0] * (1.0 + 1e-9), *parts[1:])
+        values.append(parts[0])
+        return traj, parts
+
+    monkeypatch.setattr(inverse, "step_size", recording)
+    monkeypatch.setattr(inverse, "_evaluate", raising_the_first_trial)
+    result = run_inversion(spec)
+    assert len(values) == 3 and len(steps) == 1
+    assert result.history[0].step == steps[0] / 2
+    assert result.history[0].J == values[2] <= values[0]
+
+
 def test_non_integer_max_iters_rejected():
     # a float count once built a spec that run_inversion's loop then
     # rejected with a TypeError
