@@ -32,9 +32,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
-# section -> key -> (type, default); a None default means required, except that
-# the grid keys (mesh.h, time.n_steps, data.h_ref, data.n_steps_ref) take the
-# named problem's grids.  Defaults the library types hold are read from them.
+# section -> key -> (type, default); a None default takes the named problem's value
+# (problem.T, mesh.h, time.n_steps, data.h_ref, data.n_steps_ref), but problem.alpha
+# is required.  Defaults the library types hold are read from them.
 _FLOAT_LIST = "float_list"
 SCHEMA = {
     "problem": {
@@ -73,8 +73,8 @@ SCHEMA = {
         "tolerance": (float, 1e-5),
     },
     "sweep": {
-        "alphas": (_FLOAT_LIST, (0.5,)),
-        "T_values": (_FLOAT_LIST, ()),  # empty -> (problem.T,), then required
+        "alphas": (_FLOAT_LIST, experiments.ExperimentConfig.alphas),
+        "T_values": (_FLOAT_LIST, ()),  # empty -> (problem.T,)
         "noise_levels": (_FLOAT_LIST, (1e-2, 5e-3, 2.5e-3, 1e-3)),
         "gammas": (_FLOAT_LIST, ()),    # empty -> c_gamma rule
         "c_gamma": (float, experiments.ExperimentConfig.c_gamma),
@@ -161,18 +161,11 @@ def resolve_config(sections: dict, overrides) -> dict:
             else:
                 out[sec][key] = default
     problem = _check("problem.name", get_problem, out["problem"]["name"])
-    for sec, key in (("mesh", "h"), ("time", "n_steps"), ("data", "h_ref"),
-                     ("data", "n_steps_ref")):
+    for sec, key in (("problem", "T"), ("mesh", "h"), ("time", "n_steps"),
+                     ("data", "h_ref"), ("data", "n_steps_ref")):
         if out[sec][key] is None:
             out[sec][key] = getattr(problem, key)
     return out
-
-
-def _require(cfg, section, key):
-    value = cfg[section][key]
-    if value is None:
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    return value
 
 
 def _check(keys, build, *args, **kwargs):
@@ -209,7 +202,9 @@ def _problem(cfg) -> Problem:
 
 
 def _alpha(cfg) -> float:
-    alpha = _require(cfg, "problem", "alpha")
+    alpha = cfg["problem"]["alpha"]
+    if alpha is None:
+        raise ConfigError("missing required key 'alpha' in section [problem]")
     _check("problem.alpha", timestep.cq_weights, alpha, 0)
     return alpha
 
@@ -218,9 +213,9 @@ def _grid(cfg, problem: Problem, h_key, n_key, T_key, T=None):
     """The time grid of the march on the mesh size and step count the keys
     name, to T (by default T_key's value), from :func:`problems.march_grid`:
     it builds no mesh, and its ValueError names the keys."""
-    h, n_steps = (cfg[sec][key] for sec, key in (k.split(".") for k in (h_key, n_key)))
-    T = _require(cfg, *T_key.split(".")) if T is None else T
-    return march_grid(problem, h, n_steps, T, (h_key, n_key, T_key))
+    keys = (h_key, n_key, T_key)
+    h, n_steps, T_set = (cfg[sec][key] for sec, key in (k.split(".") for k in keys))
+    return march_grid(problem, h, n_steps, T_set if T is None else T, keys)
 
 
 def _out_dir(cfg) -> Path:
@@ -339,9 +334,12 @@ def cmd_gradcheck(cfg) -> int:
     mesh, q = spec.mesh, spec.q_init
     g = inverse.gradient(spec, q)
     rng = np.random.default_rng(cfg["data"]["seed"] + 1)
+    riesz = fem.geometry(mesh).riesz_solver
     worst = 0.0
     for _ in range(check["n_directions"]):
-        d = _smooth_direction_sample(mesh, rng)
+        # smooth directions: white noise through the V_h Riesz map, unit max
+        d = riesz.solve(rng.standard_normal(mesh.n_vertices))
+        d /= np.abs(d).max()
         qp = Field(mesh, VH, q.values + step * d)
         qm = Field(mesh, VH, q.values - step * d)
         fd = (inverse.objective(spec, qp)[0] - inverse.objective(spec, qm)[0]) / (2 * step)
@@ -352,20 +350,6 @@ def cmd_gradcheck(cfg) -> int:
     return EXIT_OK if worst <= tol else EXIT_CHECK
 
 
-def _smooth_direction_sample(mesh, rng):
-    """Random band-limited direction with unit max amplitude."""
-    x = mesh.vertices
-    vals = np.zeros(mesh.n_vertices)
-    for k in range(1, 4):
-        if mesh.dim == 1:
-            mode = np.sin(k * np.pi * x[:, 0] + rng.uniform(0, 2 * np.pi))
-        else:
-            wx, wy = rng.normal(size=2)
-            mode = np.sin(k * np.pi * (wx * x[:, 0] + wy * x[:, 1]) / math.hypot(wx, wy))
-        vals += rng.normal() * mode
-    return vals / np.abs(vals).max()
-
-
 def cmd_bench(cfg) -> int:
     sweep, inv = cfg["sweep"], cfg["inversion"]
     if any(cfg["problem"][key] != SCHEMA["problem"][key][1] for key in _PROBLEM_DATA):
@@ -373,7 +357,7 @@ def cmd_bench(cfg) -> int:
                           "problem.q, problem.u0 and problem.f must keep their defaults")
     problem = get_problem(cfg["problem"]["name"])
     T_key = "sweep.T_values" if sweep["T_values"] else "problem.T"
-    T_values = sweep["T_values"] or (_require(cfg, "problem", "T"),)
+    T_values = sweep["T_values"] or (cfg["problem"]["T"],)
     for T in T_values:
         for h_key, n_key in (("mesh.h", "time.n_steps"), ("data.h_ref", "data.n_steps_ref")):
             _grid(cfg, problem, h_key, n_key, T_key, T)

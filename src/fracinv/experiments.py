@@ -168,14 +168,6 @@ def check_truth_grid(h: float, n_steps: int, h_ref: float, n_steps_ref: int):
         raise ValueError(f"n_steps_ref={n_steps_ref} must exceed n_steps={n_steps}")
 
 
-def make_meshes(config: ExperimentConfig):
-    """Coarse inversion mesh and fine data mesh for the configured problem."""
-    problem = get_problem(config.problem)
-    coarse = problem_mesh(problem, config.h)
-    fine = problem_mesh(problem, config.h_ref)
-    return problem, coarse, fine
-
-
 def solve_truth(problem: Problem, mesh: Mesh, alpha: float, grid: TimeGrid,
                 ) -> Trajectory:
     """Forward march of the problem's own coefficient, initial state and source."""
@@ -243,7 +235,8 @@ def _run_seed(config: ExperimentConfig, row: int) -> int:
 
 def run_sweep(config: ExperimentConfig) -> RunReport:
     """Execute the full grid, fit per-row rates and write CSV/JSON artifacts."""
-    problem, coarse, fine = make_meshes(config)
+    problem = get_problem(config.problem)
+    coarse, fine = problem_mesh(problem, config.h), problem_mesh(problem, config.h_ref)
     q_dag_coarse = fem.interpolate(coarse, VH, problem.q_true)
     report = RunReport(config)
     out_dir = Path(config.output_dir) if config.output_dir else None

@@ -17,7 +17,7 @@ from scipy.special import binom
 import fracinv as fi
 from fracinv import fem
 from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
-                                 exact_data, make_meshes, run_sweep,
+                                 exact_data, run_sweep,
                                  stability_quotient, verify_decay, check_positivity)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
@@ -126,7 +126,8 @@ def test_criterion_4_gradient_consistency():
     start = time.perf_counter()
     cfg = ExperimentConfig(problem="1d-sine", h=1.0 / 113.0, n_steps=30,
                            h_ref=1.0 / 1600.0, n_steps_ref=1280, seed=1)
-    problem, mesh, fine = make_meshes(cfg)
+    problem = get_problem(cfg.problem)
+    mesh, fine = problem_mesh(problem, cfg.h), problem_mesh(problem, cfg.h_ref)
     u_ref, linf = exact_data(problem, fine, mesh, 0.5, TimeGrid(1.0, cfg.n_steps_ref))
     z, delta = add_noise(u_ref, linf, 1e-2, seed=1)
     spec = fi.InverseSpec(mesh=mesh, alpha=0.5, grid=TimeGrid(1.0, 30),
@@ -200,7 +201,8 @@ def _terminal_signal(cfg, alpha, T):
     """L2 distance at time T between the exact data and the forward state of
     the inversion's starting coefficient q = 1: the part of the observation
     that carries information about q."""
-    problem, coarse, fine = make_meshes(cfg)
+    problem = get_problem(cfg.problem)
+    coarse, fine = problem_mesh(problem, cfg.h), problem_mesh(problem, cfg.h_ref)
     u_ref, _ = exact_data(problem, fine, coarse, alpha, TimeGrid(T, cfg.n_steps_ref))
     q_init = Field(coarse, VH, np.ones(coarse.n_vertices))
     u_init = fi.solve_forward(coarse, q_init, problem.u0, problem.f, alpha,

@@ -1,8 +1,9 @@
+import csv
 import time
 
 import pytest
 
-from fracinv import experiments, fem, mesh, problems, timestep
+from fracinv import experiments, fem, inverse, mesh, problems, timestep
 from fracinv.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
                          main, parse_config_text, resolve_config)
 from fracinv.errors import InvalidCoefficientError
@@ -428,6 +429,35 @@ def test_invert_on_the_disk_needs_no_grid_keys(tmp_path, capsys):
         assert f"\n{line}\n" in echoed
 
 
+def test_resolve_fills_T_from_the_problem():
+    cfg = resolve_config(parse_config_text(DISK.replace("T = 2.0\n", "")), [])
+    assert cfg["problem"]["T"] == 2.0
+
+
+def test_forward_without_T_runs_to_the_problems_T(tmp_path, capsys):
+    # the same field, byte for byte, as the run with T written out, and the
+    # problem's T is echoed
+    for name, text in (("own", DISK.replace("T = 2.0\n", "")), ("set", DISK)):
+        cfg_path = write_cfg(tmp_path, text + f"\n[output]\ndirectory = {tmp_path}/{name}\n")
+        assert main(["forward", cfg_path]) == EXIT_OK
+    fields = [(tmp_path / name / "u_terminal.field").read_bytes() for name in ("own", "set")]
+    assert fields[0] == fields[1]
+    assert "\nT = 2.0\n" in (tmp_path / "own" / "effective-config.cfg").read_text()
+
+
+def test_bench_without_T_sweeps_the_problems_T(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, BASE.replace("T = 1.0\n", "") + f"""
+[sweep]
+noise_levels = 1e-2
+
+[output]
+directory = {tmp_path}/bench
+""")
+    assert main(["bench", cfg_path]) == EXIT_OK
+    with open(tmp_path / "bench" / "report.csv") as fh:
+        assert [float(row["T"]) for row in csv.DictReader(fh)] == [1.0]
+
+
 @pytest.mark.parametrize("command", ["invert", "gradcheck"])
 @pytest.mark.parametrize("settings", [
     ["mesh.h=0.1", "time.n_steps=8", "data.h_ref=0.2", "data.n_steps_ref=4"],
@@ -770,4 +800,45 @@ n_steps_ref = 16
 directory = {tmp_path}/gc
 """)
     assert main(["gradcheck", cfg_path]) == EXIT_OK
+    assert "max relative mismatch" in capsys.readouterr().out
+
+
+GRADCHECK_DISK = """
+[problem]
+name = 2d-disk
+alpha = 0.5
+
+[mesh]
+h = 0.3
+
+[time]
+n_steps = 8
+
+[data]
+h_ref = 0.15
+n_steps_ref = 16
+"""
+
+
+def _scaled(g):
+    return fem.Field(g.mesh, g.space, g.values * (1.0 + 1e-3))
+
+
+def _boundary_zeroed(g):
+    values = g.values.copy()
+    values[g.mesh.boundary] = 0.0
+    return fem.Field(g.mesh, g.space, values)
+
+
+@pytest.mark.parametrize("defect, code", [
+    (None, EXIT_OK), (_scaled, EXIT_CHECK), (_boundary_zeroed, EXIT_CHECK)],
+    ids=["exact", "scaled", "boundary-zeroed"])
+@pytest.mark.parametrize("config", [BASE, GRADCHECK_DISK], ids=["interval", "disk"])
+def test_gradcheck_catches_a_wrong_gradient(tmp_path, capsys, monkeypatch, config,
+                                            defect, code):
+    if defect is not None:
+        gradient = inverse.gradient
+        monkeypatch.setattr(inverse, "gradient", lambda spec, q: defect(gradient(spec, q)))
+    cfg_path = write_cfg(tmp_path, config + f"\n[output]\ndirectory = {tmp_path}/gc\n")
+    assert main(["gradcheck", cfg_path]) == code
     assert "max relative mismatch" in capsys.readouterr().out

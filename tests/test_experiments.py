@@ -10,7 +10,7 @@ from fracinv import experiments, fem, problems, timestep
 from fracinv.errors import DegenerateDirectionError
 from fracinv.experiments import (ExperimentConfig, add_noise, bump_perturbations,
                                  check_positivity, compute_errors, compute_rate,
-                                 exact_data, make_meshes, run_sweep, solve_truth,
+                                 exact_data, run_sweep, solve_truth,
                                  stability_quotient, transfer_terminal, verify_decay)
 from fracinv.fem import VH, XH, Field
 from fracinv.problems import get_problem, problem_mesh
@@ -188,7 +188,8 @@ def test_gamma_rule():
 
 def synthesize(cfg, alpha, T, eps, seed):
     """Exact data and seeded noise; returns (z, delta, u_ref, linf_ref)."""
-    problem, coarse, fine = make_meshes(cfg)
+    problem = get_problem(cfg.problem)
+    coarse, fine = problem_mesh(problem, cfg.h), problem_mesh(problem, cfg.h_ref)
     u_ref, linf = exact_data(problem, fine, coarse, alpha, TimeGrid(T, cfg.n_steps_ref))
     z, delta = add_noise(u_ref, linf, eps, seed)
     return z, delta, u_ref, linf
@@ -196,7 +197,8 @@ def synthesize(cfg, alpha, T, eps, seed):
 
 def test_exact_data_is_the_truth_march_transferred():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    problem, coarse, fine = make_meshes(cfg)
+    problem = get_problem(cfg.problem)
+    coarse, fine = problem_mesh(problem, cfg.h), problem_mesh(problem, cfg.h_ref)
     grid_ref = TimeGrid(1.0, cfg.n_steps_ref)
     u_fine = solve_truth(problem, fine, 0.5, grid_ref).terminal
     u_ref, linf = exact_data(problem, fine, coarse, 0.5, grid_ref)
@@ -243,7 +245,8 @@ def test_delta_equals_mass_norm_of_noise():
 
 def test_compute_errors_zero_cases():
     cfg = ExperimentConfig(problem="1d-sine", **FAST)
-    problem, coarse, fine = make_meshes(cfg)
+    problem = get_problem(cfg.problem)
+    coarse, fine = problem_mesh(problem, cfg.h), problem_mesh(problem, cfg.h_ref)
     q_dag = fem.interpolate(coarse, VH, problem.q_true)
     u = fem.l2_project(coarse, problem.u0)
     e_q, e_u = compute_errors(q_dag, q_dag, u, u)
