@@ -308,11 +308,9 @@ def cmd_invert(cfg) -> int:
     save_mesh(mesh, out / "mesh.txt")
     fem.save_field(result.q, out / "q_reconstructed.field",
                    name="q_reconstructed", mesh_file="mesh.txt")
-    with open(out / "history.csv", "w") as fh:
-        fh.write("k,J,misfit,penalty,grad_norm,step\n")
-        for it in result.history:
-            fh.write(f"{it.k},{it.J:.17g},{it.misfit:.17g},{it.penalty:.17g},"
-                     f"{it.grad_norm:.17g},{it.step:.17g}\n")
+    rows = [(it.k, it.J, it.misfit, it.penalty, it.grad_norm, it.step) for it in result.history]
+    np.savetxt(out / "history.csv", np.reshape(rows, (-1, 6)), fmt=["%d"] + ["%.17g"] * 5,
+               delimiter=",", header="k,J,misfit,penalty,grad_norm,step", comments="")
     q_dag = fem.interpolate(mesh, VH, problem.q_true)
     e_q = fem.norm_l2(Field(mesh, VH, result.q.values - q_dag.values))
     print(f"invert: converged={result.converged} ({result.reason}) "
@@ -331,15 +329,18 @@ def cmd_gradcheck(cfg) -> int:
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"gradcheck.tolerance must be nonnegative and finite, got {tol}")
     _, spec = _inversion(cfg)
-    mesh, q = spec.mesh, spec.q_init
-    g = inverse.gradient(spec, q)
+    mesh = spec.mesh
     rng = np.random.default_rng(cfg["data"]["seed"] + 1)
     riesz = fem.geometry(mesh).riesz_solver
+    # smooth directions: white noise through the V_h Riesz map, unit max
+    draws = (riesz.solve(rng.standard_normal(mesh.n_vertices))
+             for _ in range(check["n_directions"] + 1))
+    d0, *directions = [d / np.abs(d).max() for d in draws]
+    # d0 takes q off the constant q_init, whose K q = 0 would hide the penalty's share γKq
+    q = Field(mesh, VH, spec.q_init.values * (1.0 + d0 / 4))
+    g = inverse.gradient(spec, q)
     worst = 0.0
-    for _ in range(check["n_directions"]):
-        # smooth directions: white noise through the V_h Riesz map, unit max
-        d = riesz.solve(rng.standard_normal(mesh.n_vertices))
-        d /= np.abs(d).max()
+    for d in directions:
         qp = Field(mesh, VH, q.values + step * d)
         qm = Field(mesh, VH, q.values - step * d)
         fd = (inverse.objective(spec, qp)[0] - inverse.objective(spec, qm)[0]) / (2 * step)

@@ -63,20 +63,22 @@ class ExperimentConfig:
         # reject bad input before any solve, through the library type's own
         # check wherever one exists
         problem = get_problem(self.problem)
-        for key in ("h", "n_steps", "h_ref", "n_steps_ref"):
-            if getattr(self, key) is None:
-                object.__setattr__(self, key, getattr(problem, key))
-        if self.T_values is None:
-            object.__setattr__(self, "T_values", (problem.T,))
         # a string would reach a comparison below and raise a TypeError that
-        # names no field
-        scalars = ("h", "n_steps", "h_ref", "n_steps_ref", "c_gamma", "c0", "c1",
-                   "discrepancy_factor")
-        for key in scalars + ("alphas", "T_values", "noise_levels", "gammas"):
+        # names no field; the JSON report writes plain Python numbers
+        sweeps = ("alphas", "T_values", "noise_levels", "gammas")
+        for key in ("h", "n_steps", "h_ref", "n_steps_ref", "c_gamma", "c0", "c1",
+                    "discrepancy_factor") + sweeps:
             value = getattr(self, key)
-            items = (value,) if key in scalars else () if value is None else value
+            if value is None and key != "gammas":  # the problem's own grid or T
+                value = (problem.T,) if key == "T_values" else getattr(problem, key, None)
+            items = (value,) if key not in sweeps else () if value is None else value
             if not all(isinstance(v, numbers.Real) for v in items):
                 raise ValueError(f"{key} must be numeric, got {value!r}")
+            if key not in sweeps:
+                value = int(value) if isinstance(value, numbers.Integral) else float(value)
+            elif value is not None:
+                value = tuple(float(v) for v in value)
+            object.__setattr__(self, key, value)
         check_truth_grid(self.h, self.n_steps, self.h_ref, self.n_steps_ref)
         for key in ("alphas", "T_values", "noise_levels"):  # no empty sweep, no row twice
             values = getattr(self, key)
@@ -94,17 +96,11 @@ class ExperimentConfig:
             for i, eps in enumerate(self.noise_levels):
                 check_settings(alpha, self.gamma_for(i), self.c0, self.c1,
                                self.max_iters, self.discrepancy_factor, noise_level=eps)
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if not isinstance(self.seed, numbers.Integral):  # SeedSequence's TypeError names no field
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         np.random.SeedSequence(self.seed)
-        # plain Python numbers, which the JSON report can write
-        for key in ("alphas", "T_values", "noise_levels", "gammas"):
-            if getattr(self, key) is not None:
-                object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
-        for key in scalars + ("seed", "max_iters"):
-            value = getattr(self, key)
-            object.__setattr__(self, key, (int if isinstance(value, numbers.Integral)
-                                           else float)(value))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def gamma_for(self, i: int) -> float:
         if self.gammas is not None:
